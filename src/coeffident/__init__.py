@@ -42,7 +42,9 @@ from .residues import (
     w_residue_series,
 )
 from .identity import (
+    MAX_JOBS,
     BenchRow,
+    CorrectionInvariantError,
     IdentityInstance,
     InvalidInstance,
     VerificationReport,
@@ -90,6 +92,8 @@ __all__ = [
     "base_t_residue",
     "correction_t_residue",
     "InvalidInstance",
+    "CorrectionInvariantError",
+    "MAX_JOBS",
     "IdentityInstance",
     "VerificationReport",
     "BenchRow",

@@ -220,6 +220,9 @@ class Poly:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant compares equal to its scalar, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash((self.var, self.coeffs))
 
     def __repr__(self):

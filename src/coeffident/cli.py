@@ -22,6 +22,7 @@ from typing import IO
 
 from .algebra import parse_rational
 from .identity import (
+    MAX_JOBS,
     BenchRow,
     IdentityInstance,
     InvalidInstance,
@@ -184,8 +185,8 @@ def parse_config(argv: list[str]) -> CliConfig:
             raise UsageError("--max-s and --max-d must be >= 0")
         if ns.cap is not None and ns.cap < 1:
             raise UsageError("--cap must be >= 1")
-        if ns.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
+        if not 1 <= ns.jobs <= MAX_JOBS:
+            raise UsageError(f"--jobs must be in 1..{MAX_JOBS}")
         return CliConfig(
             subcommand=sub,
             max_s=ns.max_s,

@@ -49,6 +49,8 @@ from .series import binomial_series, coefficient_ops, residue
 
 __all__ = [
     "InvalidInstance",
+    "CorrectionInvariantError",
+    "MAX_JOBS",
     "IdentityInstance",
     "VerificationReport",
     "BenchRow",
@@ -70,6 +72,20 @@ __all__ = [
 
 class InvalidInstance(ValueError):
     """Instance parameters violate the identity's standing hypotheses."""
+
+
+class CorrectionInvariantError(ArithmeticError):
+    """The correction polynomial broke a structural invariant the reduced
+    product relies on: constant term 1, degree at most 2s, even powers only."""
+
+
+# Upper bound on worker processes for ``sweep`` and ``bench``.
+MAX_JOBS = 64
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs={jobs} exceeds MAX_JOBS={MAX_JOBS}")
 
 
 @dataclass(frozen=True)
@@ -236,11 +252,19 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     binomial prefactors come out in front.
     """
     lam = correction_polynomial(inst)
-    assert lam.coefficient(0) == 1, "correction polynomial must be monic at u**0"
-    assert lam.degree <= 2 * inst.s, "correction degree exceeded 2s"
-    assert all(
-        lam.coefficient(k) == 0 for k in range(1, lam.degree + 1, 2)
-    ), "correction polynomial acquired odd powers"
+    if lam.coefficient(0) != 1:
+        raise CorrectionInvariantError(
+            f"correction polynomial has constant term {lam.coefficient(0)}, not 1"
+        )
+    if lam.degree > 2 * inst.s:
+        raise CorrectionInvariantError(
+            f"correction polynomial has degree {lam.degree} above 2s = {2 * inst.s}"
+        )
+    odd = [k for k in range(1, lam.degree + 1, 2) if lam.coefficient(k)]
+    if odd:
+        raise CorrectionInvariantError(
+            f"correction polynomial has nonzero odd powers of u: {odd}"
+        )
     total = base_t_residue(inst.s)
     for k in range(2, lam.degree + 1, 2):
         weight = lam.coefficient(k)
@@ -382,46 +406,26 @@ def verify(inst: IdentityInstance) -> VerificationReport:
 # polynomial certification in one gamma coordinate
 
 
-def _as_gamma_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly((value,), var="gamma")
+def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Poly:
+    """The polynomial of degree < len(nodes) through (nodes[i], values[i]).
 
-
-def _lhs_direct_symbolic(s: int, alpha: Sequence[int], gammas: Sequence):
-    """The literal double sum with ring-generic gamma entries.
-
-    Each gamma may be a Fraction or a Poly; the result lands in whatever
-    ring the inputs span.  Used only for certification, so it favors
-    clarity over the cached fast path.
+    Newton divided differences, expanded into monomial coefficients by
+    Horner's scheme; exact over Fraction.  The nodes must be distinct.
     """
-    top = len(alpha) - 1 + sum(alpha)
-    for g in gammas:
-        top = top + g
-    total = Fraction(0)
-    sign = 1
-    for j in range(s + 1):
-        inner = Fraction(0)
-        for beta in compositions(s - j, len(alpha)):
-            term = Fraction(1)
-            for b, a, g in zip(beta, alpha, gammas):
-                term = (
-                    term
-                    * binomial(g + b, b)
-                    * (2 * b + g + 1) ** a
-                    * Fraction(1, math.factorial(a))
-                )
-            inner = inner + term
-        total = total + sign * binomial(top, j) * inner
-        sign = -sign
-    return total
-
-
-def _rhs_symbolic(s: int, alpha: Sequence[int], gammas: Sequence):
-    acc = Fraction(4) ** s
-    for a, g in zip(alpha, gammas):
-        acc = acc * binomial(g + a, a)
-    return acc
+    n = len(nodes)
+    diffs = list(values)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - level])
+    coeffs: list[Fraction] = []
+    for i in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - nodes[i]) + diffs[i]
+        shifted = [Fraction(0)] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= nodes[i] * c
+        shifted[0] += diffs[i]
+        coeffs = shifted
+    return Poly(coeffs, var="gamma")
 
 
 def verify_poly_gamma(
@@ -429,19 +433,37 @@ def verify_poly_gamma(
 ) -> tuple[Poly, Poly, bool]:
     """Certify the instance polynomially in one gamma coordinate.
 
-    Re-evaluates the direct left side and the closed right side with
-    gamma[coordinate] replaced by a polynomial indeterminate (its
-    concrete value in the instance is ignored).  Both sides are
-    polynomials of bounded degree, so their coefficient-wise equality
-    proves the identity for *every* real value of that coordinate.
-    Returns (lhs_poly, rhs_poly, equal).
+    Treats gamma[coordinate] (written x; its concrete value in the
+    instance is ignored) as a free variable and returns both sides as
+    polynomials in x: (lhs_poly, rhs_poly, equal).
+
+    The degree bound: in the direct left side, C(top, j) has degree j in
+    x, and each term of S_j has degree at most (s - j) + alpha_c, from
+    C(beta_c + x, beta_c) with beta_c <= s - j and (2 beta_c + x + 1)**alpha_c.
+    So the left side has degree at most s + alpha_c, and the right side,
+    4**s C(x + alpha_c, alpha_c) times constants, has degree alpha_c.
+    Two polynomials of degree at most n - 1 = s + alpha_c that agree at
+    n distinct points are equal.  So the scalar direct route is evaluated
+    at x = 0, 1, ..., n - 1, ``lhs_poly`` is the unique interpolating
+    polynomial through those values, and ``lhs_poly == rhs_poly``
+    proves the identity for *every* value of x, rational or not.
     """
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
-    gammas: list = list(inst.gamma)
-    gammas[coordinate] = Poly.indeterminate("gamma")
-    lhs = _as_gamma_poly(_lhs_direct_symbolic(inst.s, inst.alpha, gammas))
-    rhs = _as_gamma_poly(_rhs_symbolic(inst.s, inst.alpha, gammas))
+    alpha_c = inst.alpha[coordinate]
+    nodes = range(inst.s + alpha_c + 1)
+    values = []
+    gammas = list(inst.gamma)
+    for x in nodes:
+        gammas[coordinate] = Fraction(x)
+        pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
+        values.append(_lhs_direct_counted(pinned)[0])
+    lhs = _interpolate(nodes, values)
+    const = Fraction(4) ** inst.s
+    for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
+        if i != coordinate:
+            const *= binomial(g + a, a)
+    rhs = Poly((const,)) * binomial(Poly.indeterminate() + alpha_c, alpha_c)
     return lhs, rhs, lhs == rhs
 
 
@@ -492,7 +514,9 @@ def sweep(
 
     With jobs > 1 the instances are verified in worker processes;
     ordered imap keeps the output stream identical to the serial one.
+    More than MAX_JOBS workers raise ValueError before any is started.
     """
+    _check_jobs(jobs)
     instances = iter_instances(max_s, max_d, gamma_set, cap)
     if jobs <= 1:
         for inst in instances:
@@ -589,7 +613,9 @@ def bench(
     jobs: int = 1,
 ) -> Iterator[BenchRow]:
     """``bench_instance`` over the instance grid, in enumeration order
-    (which is already sorted by (s, d))."""
+    (which is already sorted by (s, d)).  ``jobs`` is bounded as in
+    ``sweep``."""
+    _check_jobs(jobs)
     instances = iter_instances(max_s, max_d, gamma_set, cap)
     if jobs <= 1:
         for inst in instances:

@@ -196,6 +196,14 @@ def test_poly_is_hashable():
     assert len({Poly([1]), Poly([1]), Poly([2])}) == 2
 
 
+def test_poly_hash_agrees_with_scalar_equality():
+    assert hash(Poly((3,))) == hash(3)
+    assert hash(Poly(())) == hash(0)
+    assert hash(Poly((F(1, 2),), var="u")) == hash(F(1, 2))
+    assert len({Poly((3,)), 3}) == 1
+    assert len({Poly(()), 0, F(0)}) == 1
+
+
 def test_poly_rejects_float_coefficients():
     with pytest.raises(TypeError):
         Poly([0.5])

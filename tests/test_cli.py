@@ -71,6 +71,15 @@ def test_parse_rejects_bad_vectors():
         parse_config(["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0", "--jobs", "0"])
 
 
+@pytest.mark.parametrize("sub", ["sweep", "bench"])
+def test_parse_bounds_jobs(sub):
+    base = [sub, "--max-s", "1", "--max-d", "1", "--gamma-set", "0"]
+    cfg = parse_config(base + ["--jobs", str(identity.MAX_JOBS)])
+    assert cfg.jobs == identity.MAX_JOBS
+    with pytest.raises(UsageError, match="--jobs"):
+        parse_config(base + ["--jobs", str(identity.MAX_JOBS + 1)])
+
+
 def test_unicode_minus_accepted_in_vectors():
     cfg = parse_config(["verify", "--s", "0", "--alpha", "1", "--gamma", "−1/2"])
     assert cfg.gamma == (F(-1, 2),)
@@ -144,6 +153,27 @@ def test_verify_poly_gamma_out_of_range(capsys):
     )
     assert code == 2
     assert "poly-gamma" in err
+
+
+def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
+    # one wrong node value, at a gamma the scalar routes never pin, must
+    # flip poly_equal and the exit status while all_equal stays true
+    real = identity._lhs_direct_counted
+
+    def one_wrong_node(inst):
+        value, terms = real(inst)
+        return (value + 1 if inst.gamma[1] == 2 else value), terms
+
+    monkeypatch.setattr(identity, "_lhs_direct_counted", one_wrong_node)
+    code, lines, _ = run_lines(
+        capsys,
+        ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2", "--poly-gamma", "1"],
+    )
+    assert code == 1
+    record = json.loads(lines[0])
+    assert record["all_equal"] is True
+    assert record["poly_equal"] is False
+    assert record["lhs_poly"] != record["rhs_poly"]
 
 
 def test_verify_detects_route_mismatch(capsys, monkeypatch):

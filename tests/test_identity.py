@@ -5,10 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import coeffident.identity as identity
 from coeffident.algebra import Poly, binomial
 from coeffident.identity import (
+    MAX_JOBS,
+    CorrectionInvariantError,
     IdentityInstance,
     InvalidInstance,
+    bench,
     bench_instance,
     compositions,
     correction_polynomial,
@@ -172,6 +176,22 @@ def test_correction_polynomial_structure():
     assert all(lam.coefficient(k) == 0 for k in range(1, lam.degree + 1, 2))
 
 
+@pytest.mark.parametrize(
+    "lam, broken",
+    [
+        (Poly([2, 0, 1], var="u"), "constant term"),
+        (Poly([1, 0, 0, 0, 1], var="u"), "degree"),
+        (Poly([1, F(1, 2)], var="u"), "odd powers"),
+    ],
+)
+def test_lhs_product_invariants_raise(monkeypatch, lam, broken):
+    # real exceptions, not asserts: they must still fire under python -O
+    monkeypatch.setattr(identity, "correction_polynomial", lambda inst: lam)
+    with pytest.raises(CorrectionInvariantError, match=broken):
+        lhs_product(SPOT)
+    assert issubclass(CorrectionInvariantError, ArithmeticError)
+
+
 def test_regression_instance():
     inst = IdentityInstance(s=2, alpha=(2, 3), gamma=(F(1), F(0)))
     report = verify(inst)
@@ -280,6 +300,55 @@ def test_poly_gamma_specialization_coherence():
             assert rhs(value) == rhs_closed(pinned)
 
 
+def criterion_6_cells():
+    """Every (s <= 2, d <= 2) cell and coordinate criterion 6 certifies."""
+    for s in range(3):
+        for d in range(3):
+            for alpha in compositions(2 * s + 1, d + 1):
+                for rest in itertools.product((F(0), F(1)), repeat=d):
+                    for i in range(d + 1):
+                        gamma = rest[:i] + (F(0),) + rest[i:]
+                        yield IdentityInstance(s=s, alpha=alpha, gamma=gamma), i
+
+
+def test_poly_gamma_exact_off_the_nodes():
+    # the interpolation nodes are x = 0..n-1 with n = s + alpha_c + 1;
+    # negative, fractional and beyond-the-last points are none of them
+    for inst, i in criterion_6_cells():
+        n = inst.s + inst.alpha[i] + 1
+        lhs, rhs, equal = verify_poly_gamma(inst, i)
+        assert equal
+        assert lhs.degree <= n - 1
+        for x in (F(-7, 3), F(1, 2), F(5, 2), F(n + 3)):
+            gammas = list(inst.gamma)
+            gammas[i] = x
+            pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
+            assert lhs(x) == lhs_direct(pinned)
+            assert rhs(x) == rhs_closed(pinned)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_poly_gamma_uses_every_node(monkeypatch, where):
+    # a wrong value at any single node must break the certification
+    inst = IdentityInstance(s=2, alpha=(3, 2), gamma=(F(1, 2), F(1, 3)))
+    coordinate = 0
+    n = inst.s + inst.alpha[coordinate] + 1
+    node = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    real = identity._lhs_direct_counted
+
+    def one_wrong_node(pinned):
+        value, terms = real(pinned)
+        if pinned.gamma[coordinate] == node:
+            value += 1
+        return value, terms
+
+    monkeypatch.setattr(identity, "_lhs_direct_counted", one_wrong_node)
+    lhs, rhs, equal = verify_poly_gamma(inst, coordinate)
+    assert equal is False
+    assert lhs != rhs
+    assert lhs(node) == rhs(node) + 1
+
+
 # --- enumeration, sweep, bench -----------------------------------------------------------
 
 
@@ -340,6 +409,12 @@ def test_sweep_parallel_matches_serial():
                           r.rhs, r.all_equal, r.direct_terms, r.residue_ops,
                           r.product_ops)
     assert [stripped(r) for r in serial] == [stripped(r) for r in parallel]
+
+
+@pytest.mark.parametrize("runner", [sweep, bench])
+def test_jobs_bound_checked_before_any_worker(runner):
+    with pytest.raises(ValueError, match="MAX_JOBS"):
+        next(runner(0, 0, (0,), jobs=MAX_JOBS + 1))
 
 
 def test_bench_instance_counters():
