@@ -15,7 +15,6 @@ from .algebra import (
     Rational,
     as_rational,
     binomial,
-    format_rational,
     parse_rational,
     rising_factorial,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Rational",
     "as_rational",
     "parse_rational",
-    "format_rational",
     "binomial",
     "rising_factorial",
     "Poly",

@@ -19,7 +19,6 @@ __all__ = [
     "Rational",
     "as_rational",
     "parse_rational",
-    "format_rational",
     "binomial",
     "rising_factorial",
     "Poly",
@@ -60,11 +59,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(numerator), int(denominator))
     return Fraction(int(numerator))
-
-
-def format_rational(value: Scalar) -> str:
-    """Canonical string form: ``p/q`` in lowest terms, or ``p`` when q = 1."""
-    return str(as_rational(value))
 
 
 def binomial(x, b: int):

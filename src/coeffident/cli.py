@@ -18,15 +18,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterable
 
 from .algebra import parse_rational
 from .identity import (
     MAX_JOBS,
-    BenchRow,
     IdentityInstance,
     InvalidInstance,
-    VerificationReport,
     bench,
     sweep,
     verify,
@@ -76,27 +74,22 @@ class CliConfig:
             args += ["--gamma=" + ",".join(str(g) for g in self.gamma)]
             if self.poly_gamma is not None:
                 args += ["--poly-gamma", str(self.poly_gamma)]
-            args += ["--format", self.format]
-        elif self.subcommand == "sweep":
-            args += ["--max-s", str(self.max_s), "--max-d", str(self.max_d)]
-            args += ["--gamma-set=" + ",".join(str(g) for g in self.gamma_set)]
-            if self.cap is not None:
-                args += ["--cap", str(self.cap)]
-            args += ["--jobs", str(self.jobs), "--format", self.format]
-        elif self.subcommand == "lemma2":
-            args += ["--alpha", str(self.alpha_value), "--format", self.format]
-        elif self.subcommand == "lemma3":
-            args += ["--max-s", str(self.max_s), "--format", self.format]
-        elif self.subcommand == "jseries":
-            args += ["--alpha", str(self.alpha_value)]
-            args += ["--gamma=" + str(self.gamma_value)]
-            args += ["--order", str(self.order), "--format", self.format]
-        elif self.subcommand == "bench":
+        elif self.subcommand in ("sweep", "bench"):
             args += ["--max-s", str(self.max_s), "--max-d", str(self.max_d)]
             args += ["--gamma-set=" + ",".join(str(g) for g in self.gamma_set)]
             if self.cap is not None:
                 args += ["--cap", str(self.cap)]
             args += ["--jobs", str(self.jobs)]
+        elif self.subcommand == "lemma2":
+            args += ["--alpha", str(self.alpha_value)]
+        elif self.subcommand == "lemma3":
+            args += ["--max-s", str(self.max_s)]
+        elif self.subcommand == "jseries":
+            args += ["--alpha", str(self.alpha_value)]
+            args += ["--gamma=" + str(self.gamma_value)]
+            args += ["--order", str(self.order)]
+        if self.subcommand != "bench":  # bench is CSV only and has no --format
+            args += ["--format", self.format]
         return args
 
 
@@ -223,12 +216,37 @@ def parse_config(argv: list[str]) -> CliConfig:
     raise UsageError(f"unknown subcommand {sub!r}")  # pragma: no cover
 
 
-def _write_json_line(out: IO[str], record: dict) -> None:
-    out.write(json.dumps(record, separators=(",", ":")) + "\n")
+# Record keys whose value false means a route disagreed (exit status 1).
+_VERDICTS = ("all_equal", "routes_equal", "poly_equal")
 
 
-def _csv_writer(out: IO[str]):
-    return csv.writer(out, lineterminator="\n")
+def _cell(key: str, value) -> str:
+    """One CSV cell: booleans as true/false, lists joined (alpha and gamma
+    with commas, everything else with semicolons), the rest as str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        sep = "," if key in ("alpha", "gamma") else ";"
+        return sep.join(str(v) for v in value)
+    return str(value)
+
+
+def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
+    """Write records one per line: compact JSON, or CSV under a header of
+    the first record's keys.  Returns the exit status: 1 if some record
+    holds a false verdict, else 0."""
+    ok = True
+    writer = None
+    for record in records:
+        ok = ok and all(record.get(key, True) for key in _VERDICTS)
+        if fmt == "json":
+            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+            continue
+        if writer is None:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(record.keys())
+        writer.writerow([_cell(key, value) for key, value in record.items()])
+    return 0 if ok else 1
 
 
 def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
@@ -236,10 +254,7 @@ def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
         inst = IdentityInstance(s=cfg.s, alpha=cfg.alpha, gamma=cfg.gamma)
     except InvalidInstance as exc:
         raise UsageError(str(exc)) from None
-    report = verify(inst)
-    record = report.to_json_dict()
-    ok = report.all_equal
-    extra_fields: list[str] = []
+    record = verify(inst).to_json_dict()
     if cfg.poly_gamma is not None:
         if not 0 <= cfg.poly_gamma <= inst.d:
             raise UsageError(
@@ -250,88 +265,46 @@ def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
         record["lhs_poly"] = [str(c) for c in lhs.coeffs]
         record["rhs_poly"] = [str(c) for c in rhs.coeffs]
         record["poly_equal"] = equal
-        extra_fields = ["poly_gamma", "lhs_poly", "rhs_poly", "poly_equal"]
-        ok = ok and equal
-    if cfg.format == "json":
-        _write_json_line(out, record)
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(list(VerificationReport.CSV_FIELDS) + extra_fields)
-        row = report.csv_row()
-        if extra_fields:
-            row += [
-                str(cfg.poly_gamma),
-                ";".join(record["lhs_poly"]),
-                ";".join(record["rhs_poly"]),
-                "true" if record["poly_equal"] else "false",
-            ]
-        writer.writerow(row)
-    return 0 if ok else 1
+    return _emit(out, cfg.format, [record])
 
 
-def _run_sweep(cfg: CliConfig, out: IO[str]) -> int:
-    ok = True
-    reports = sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
-    if cfg.format == "json":
-        for report in reports:
-            ok = ok and report.all_equal
-            _write_json_line(out, report.to_json_dict())
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(VerificationReport.CSV_FIELDS)
-        for report in reports:
-            ok = ok and report.all_equal
-            writer.writerow(report.csv_row())
-    return 0 if ok else 1
+def _run_grid(cfg: CliConfig, out: IO[str]) -> int:
+    grid = sweep if cfg.subcommand == "sweep" else bench
+    rows = grid(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
+    return _emit(out, cfg.format, (row.to_json_dict() for row in rows))
 
 
 def _run_lemma2(cfg: CliConfig, out: IO[str]) -> int:
     table = derivative_table(cfg.alpha_value)
     inv_fact = Fraction(1, math.factorial(cfg.alpha_value))
-    weights = [
+    record = table.to_json_dict()
+    record["weights"] = [
         [str(c * inv_fact) for c in entry.coeffs] for entry in table.entries[1:]
     ]
-    if cfg.format == "json":
-        record = table.to_json_dict()
-        record["weights"] = weights
-        _write_json_line(out, record)
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(("alpha", "k", "entry", "weight"))
-        for k, entry in enumerate(table.entries):
-            weight = ";".join(weights[k - 1]) if k >= 1 else ""
-            writer.writerow(
-                (
-                    str(cfg.alpha_value),
-                    str(k),
-                    ";".join(str(c) for c in entry.coeffs),
-                    weight,
-                )
+    records = [record]
+    if cfg.format == "csv":
+        # one CSV row per table row; row 0 has no weight
+        records = [
+            {"alpha": table.alpha, "k": k, "entry": entry, "weight": weight}
+            for k, (entry, weight) in enumerate(
+                zip(record["entries"], [[]] + record["weights"])
             )
-    return 0
+        ]
+    return _emit(out, cfg.format, records)
 
 
 def _run_lemma3(cfg: CliConfig, out: IO[str]) -> int:
-    rows = []
-    for s in range(cfg.max_s + 1):
-        rows.append(
-            {
-                "s": s,
-                "base": str(base_t_residue(s)),
-                "corrections": [
-                    str(correction_t_residue(s, k)) for k in range(1, 2 * s + 1)
-                ],
-            }
-        )
-    if cfg.format == "json":
-        for row in rows:
-            _write_json_line(out, row)
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(("s", "base", "corrections"))
-        for row in rows:
-            writer.writerow((str(row["s"]), row["base"], ";".join(row["corrections"])))
-    return 0
+    records = (
+        {
+            "s": s,
+            "base": str(base_t_residue(s)),
+            "corrections": [
+                str(correction_t_residue(s, k)) for k in range(1, 2 * s + 1)
+            ],
+        }
+        for s in range(cfg.max_s + 1)
+    )
+    return _emit(out, cfg.format, records)
 
 
 def _run_jseries(cfg: CliConfig, out: IO[str]) -> int:
@@ -343,40 +316,16 @@ def _run_jseries(cfg: CliConfig, out: IO[str]) -> int:
         "variable": series.var,
         "coefficients": [str(c) for c in series.coeffs],
     }
-    if cfg.format == "json":
-        _write_json_line(out, record)
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(("alpha", "gamma", "order", "variable", "coefficients"))
-        writer.writerow(
-            (
-                str(record["alpha"]),
-                record["gamma"],
-                str(record["order"]),
-                record["variable"],
-                ";".join(record["coefficients"]),
-            )
-        )
-    return 0
-
-
-def _run_bench(cfg: CliConfig, out: IO[str]) -> int:
-    ok = True
-    writer = _csv_writer(out)
-    writer.writerow(BenchRow.CSV_FIELDS)
-    for row in bench(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs):
-        ok = ok and row.routes_equal
-        writer.writerow(row.csv_row())
-    return 0 if ok else 1
+    return _emit(out, cfg.format, [record])
 
 
 _RUNNERS = {
     "verify": _run_verify,
-    "sweep": _run_sweep,
+    "sweep": _run_grid,
     "lemma2": _run_lemma2,
     "lemma3": _run_lemma3,
     "jseries": _run_jseries,
-    "bench": _run_bench,
+    "bench": _run_grid,
 }
 
 

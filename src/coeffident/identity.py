@@ -32,11 +32,12 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import Poly, as_rational, binomial
 from .residues import (
@@ -83,11 +84,6 @@ class CorrectionInvariantError(ArithmeticError):
 MAX_JOBS = 64
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs > MAX_JOBS:
-        raise ValueError(f"jobs={jobs} exceeds MAX_JOBS={MAX_JOBS}")
-
-
 @dataclass(frozen=True)
 class IdentityInstance:
     """One cell of the identity: s plus the alpha and gamma vectors.
@@ -131,24 +127,26 @@ class IdentityInstance:
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers summing to n, in
-    lexicographic order.  There are C(n + parts - 1, parts - 1) of them."""
+    lexicographic order.  There are C(n + parts - 1, parts - 1) of them.
+
+    Stars and bars: the parts are the gaps between parts - 1 cut points
+    0 <= c_1 <= ... <= c_{parts-1} <= n, and cut tuples in lexicographic
+    order give the parts in lexicographic order.  No recursion, so any
+    number of parts works.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
+        yield tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
 
 
 # ---------------------------------------------------------------------------
 # direct route
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _coordinate_factors(alpha_i: int, gamma_i: Fraction, limit: int) -> tuple[Fraction, ...]:
     """One coordinate's factor C(b+g, b) (2b+g+1)**a / a! for b = 0..limit."""
     inv_fact = Fraction(1, math.factorial(alpha_i))
@@ -288,8 +286,29 @@ def rhs_closed(inst: IdentityInstance) -> Fraction:
 # verification
 
 
+class _Record:
+    """Serialization shared by the record dataclasses, derived from their
+    fields: ``instance`` expands to s, d, alpha, gamma, a Fraction becomes
+    its ``str``, and every other value passes through."""
+
+    def to_json_dict(self) -> dict:
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, IdentityInstance):
+                record["s"] = value.s
+                record["d"] = value.d
+                record["alpha"] = list(value.alpha)
+                record["gamma"] = [str(g) for g in value.gamma]
+            elif isinstance(value, Fraction):
+                record[f.name] = str(value)
+            else:
+                record[f.name] = value
+        return record
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """All four route values for one instance, plus timings and costs.
 
     Equality of the four values is the verdict; timings are wall-clock
@@ -310,65 +329,6 @@ class VerificationReport:
     direct_terms: int
     residue_ops: int
     product_ops: int
-
-    CSV_FIELDS: ClassVar[tuple[str, ...]] = (
-        "s",
-        "d",
-        "alpha",
-        "gamma",
-        "lhs_direct",
-        "lhs_residue",
-        "lhs_product",
-        "rhs",
-        "all_equal",
-        "time_direct_us",
-        "time_residue_us",
-        "time_product_us",
-        "time_rhs_us",
-        "direct_terms",
-        "residue_ops",
-        "product_ops",
-    )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.instance.s,
-            "d": self.instance.d,
-            "alpha": list(self.instance.alpha),
-            "gamma": [str(g) for g in self.instance.gamma],
-            "lhs_direct": str(self.lhs_direct),
-            "lhs_residue": str(self.lhs_residue),
-            "lhs_product": str(self.lhs_product),
-            "rhs": str(self.rhs),
-            "all_equal": self.all_equal,
-            "time_direct_us": self.time_direct_us,
-            "time_residue_us": self.time_residue_us,
-            "time_product_us": self.time_product_us,
-            "time_rhs_us": self.time_rhs_us,
-            "direct_terms": self.direct_terms,
-            "residue_ops": self.residue_ops,
-            "product_ops": self.product_ops,
-        }
-
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.instance.s),
-            str(self.instance.d),
-            ",".join(str(a) for a in self.instance.alpha),
-            ",".join(str(g) for g in self.instance.gamma),
-            str(self.lhs_direct),
-            str(self.lhs_residue),
-            str(self.lhs_product),
-            str(self.rhs),
-            "true" if self.all_equal else "false",
-            str(self.time_direct_us),
-            str(self.time_residue_us),
-            str(self.time_product_us),
-            str(self.time_rhs_us),
-            str(self.direct_terms),
-            str(self.residue_ops),
-            str(self.product_ops),
-        ]
 
 
 def verify(inst: IdentityInstance) -> VerificationReport:
@@ -503,6 +463,30 @@ def iter_instances(
                     yield IdentityInstance(s=s, alpha=alpha, gamma=gamma)
 
 
+def _grid(
+    route: Callable[[IdentityInstance], object],
+    max_s: int,
+    max_d: int,
+    gamma_set: Sequence,
+    cap: int | None,
+    jobs: int,
+) -> Iterator:
+    """``route`` over the instance grid, yielded in enumeration order.
+
+    With jobs > 1 the instances go to worker processes; ordered imap
+    keeps the output stream identical to the serial one.  More than
+    MAX_JOBS workers raise ValueError before any is started.
+    """
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs={jobs} exceeds MAX_JOBS={MAX_JOBS}")
+    instances = iter_instances(max_s, max_d, gamma_set, cap)
+    if jobs <= 1:
+        yield from map(route, instances)
+        return
+    with multiprocessing.Pool(processes=jobs) as pool:
+        yield from pool.imap(route, instances, chunksize=32)
+
+
 def sweep(
     max_s: int,
     max_d: int,
@@ -512,22 +496,14 @@ def sweep(
 ) -> Iterator[VerificationReport]:
     """``verify`` over the instance grid, yielded in enumeration order.
 
-    With jobs > 1 the instances are verified in worker processes;
-    ordered imap keeps the output stream identical to the serial one.
-    More than MAX_JOBS workers raise ValueError before any is started.
+    With jobs > 1 (at most MAX_JOBS) the instances are verified in worker
+    processes, and the stream is the same as the serial one.
     """
-    _check_jobs(jobs)
-    instances = iter_instances(max_s, max_d, gamma_set, cap)
-    if jobs <= 1:
-        for inst in instances:
-            yield verify(inst)
-        return
-    with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(verify, instances, chunksize=32)
+    return _grid(verify, max_s, max_d, gamma_set, cap, jobs)
 
 
 @dataclass(frozen=True)
-class BenchRow:
+class BenchRow(_Record):
     """Cost comparison of the direct and residue routes on one instance."""
 
     instance: IdentityInstance
@@ -538,50 +514,6 @@ class BenchRow:
     residue_ops: int
     time_direct_us: int
     time_residue_us: int
-
-    CSV_FIELDS: ClassVar[tuple[str, ...]] = (
-        "s",
-        "d",
-        "alpha",
-        "gamma",
-        "lhs_direct",
-        "lhs_residue",
-        "routes_equal",
-        "direct_terms",
-        "residue_ops",
-        "time_direct_us",
-        "time_residue_us",
-    )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.instance.s,
-            "d": self.instance.d,
-            "alpha": list(self.instance.alpha),
-            "gamma": [str(g) for g in self.instance.gamma],
-            "lhs_direct": str(self.lhs_direct),
-            "lhs_residue": str(self.lhs_residue),
-            "routes_equal": self.routes_equal,
-            "direct_terms": self.direct_terms,
-            "residue_ops": self.residue_ops,
-            "time_direct_us": self.time_direct_us,
-            "time_residue_us": self.time_residue_us,
-        }
-
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.instance.s),
-            str(self.instance.d),
-            ",".join(str(a) for a in self.instance.alpha),
-            ",".join(str(g) for g in self.instance.gamma),
-            str(self.lhs_direct),
-            str(self.lhs_residue),
-            "true" if self.routes_equal else "false",
-            str(self.direct_terms),
-            str(self.residue_ops),
-            str(self.time_direct_us),
-            str(self.time_residue_us),
-        ]
 
 
 def bench_instance(inst: IdentityInstance) -> BenchRow:
@@ -615,11 +547,4 @@ def bench(
     """``bench_instance`` over the instance grid, in enumeration order
     (which is already sorted by (s, d)).  ``jobs`` is bounded as in
     ``sweep``."""
-    _check_jobs(jobs)
-    instances = iter_instances(max_s, max_d, gamma_set, cap)
-    if jobs <= 1:
-        for inst in instances:
-            yield bench_instance(inst)
-        return
-    with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(bench_instance, instances, chunksize=32)
+    return _grid(bench_instance, max_s, max_d, gamma_set, cap, jobs)

@@ -77,33 +77,34 @@ class DerivativeTable:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def derivative_table(alpha: int) -> DerivativeTable:
     """Build the coefficient rows for the alpha-th derivative.
 
-    One differentiation step maps row k of level alpha to
+    One differentiation step maps row k of level a to
 
-        (c + 1 + alpha - 2k) * row_k  -  (alpha - 2k + 2) * row_{k-1}
+        (c + 1 + a - 2k) * row_k  -  (a - 2k + 2) * row_{k-1}
 
-    at level alpha + 1 (the first term from differentiating the f-power,
-    the second from g' = -f turning a g into an f and bumping k).
+    at level a + 1 (the first term from differentiating the f-power,
+    the second from g' = -f turning a g into an f and bumping k).  The
+    levels are stepped through in a loop from level 0, so any alpha
+    works without recursion.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if alpha == 0:
-        return DerivativeTable(0, (Poly((1,), var="gamma"),))
-    prev = derivative_table(alpha - 1)
-    a = alpha - 1
     c = Poly.indeterminate("gamma")
-    entries = []
-    for k in range(alpha // 2 + 1):
-        acc = Poly((), var="gamma")
-        if k < len(prev.entries):
-            acc = acc + prev.entries[k] * (c + (1 + a - 2 * k))
-        if 1 <= k and k - 1 < len(prev.entries):
-            acc = acc - prev.entries[k - 1] * (a - 2 * k + 2)
-        entries.append(acc)
-    return DerivativeTable(alpha, tuple(entries))
+    prev: tuple[Poly, ...] = (Poly((1,), var="gamma"),)
+    for a in range(alpha):
+        entries = []
+        for k in range((a + 1) // 2 + 1):
+            acc = Poly((), var="gamma")
+            if k < len(prev):
+                acc = acc + prev[k] * (c + (1 + a - 2 * k))
+            if 1 <= k and k - 1 < len(prev):
+                acc = acc - prev[k - 1] * (a - 2 * k + 2)
+            entries.append(acc)
+        prev = tuple(entries)
+    return DerivativeTable(alpha, prev)
 
 
 def correction_weight(alpha: int, k: int, gamma) -> Fraction:

@@ -31,7 +31,6 @@ __all__ = [
     "nested_exp_core",
     "sinh_t_series",
     "coefficient_ops",
-    "reset_coefficient_ops",
 ]
 
 Scalar = Union[int, Fraction]
@@ -68,10 +67,6 @@ def coefficient_ops() -> int:
     report identical costs.
     """
     return _OPS.count
-
-
-def reset_coefficient_ops() -> None:
-    _OPS.count = 0
 
 
 class TSeries:

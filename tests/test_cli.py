@@ -129,6 +129,19 @@ def test_verify_poly_gamma_fields(capsys):
     assert record["poly_equal"] is True
 
 
+def test_verify_deep_instance(capsys):
+    d = 1200
+    alpha = ",".join(["1"] + ["0"] * d)
+    gamma = ",".join(["0"] * (d + 1))
+    code, lines, err = run_lines(
+        capsys, ["verify", "--s", "0", "--alpha", alpha, "--gamma", gamma]
+    )
+    assert (code, err) == (0, "")
+    record = json.loads(lines[0])
+    assert record["d"] == d
+    assert record["all_equal"] is True
+
+
 def test_verify_invalid_instance_is_usage_error(capsys):
     code, lines, err = run_lines(
         capsys, ["verify", "--s", "1", "--alpha", "1,1", "--gamma", "0,0"]
@@ -313,6 +326,47 @@ def test_jseries_rejects_negative_order(capsys):
     )
     assert code == 2
     assert "order" in err
+
+
+# --- one serializer ------------------------------------------------------------------------
+
+
+def csv_cell(key, value):
+    """The CSV form of a JSON value: true/false, lists joined (alpha and
+    gamma with commas, the rest with semicolons), anything else as str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ("," if key in ("alpha", "gamma") else ";").join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2"],
+        ["verify", "--s", "2", "--alpha", "1,3,1", "--gamma=-1/2,0,3", "--poly-gamma", "1"],
+        ["sweep", "--max-s", "1", "--max-d", "2", "--gamma-set=0,-1/3", "--cap", "40"],
+        ["lemma3", "--max-s", "4"],
+        ["jseries", "--alpha", "3", "--gamma=-1/2", "--order", "4"],
+    ],
+)
+def test_csv_rows_are_the_json_records(capsys, argv):
+    code, json_lines, _ = run_lines(capsys, argv + ["--format", "json"])
+    assert code == 0
+    code, csv_lines, _ = run_lines(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    records = [json.loads(line) for line in json_lines]
+    header, *rows = csv.reader(io.StringIO("\n".join(csv_lines)))
+    assert len(rows) == len(records) >= 1
+    for record, row in zip(records, rows):
+        assert header == list(record)
+        assert len(row) == len(header)
+        for key, cell in zip(header, row):
+            if key.startswith("time_"):  # wall clock: differs between the runs
+                assert cell.isdigit()
+            else:
+                assert cell == csv_cell(key, record[key]), key
 
 
 # --- bench -----------------------------------------------------------------------------------

@@ -1,12 +1,20 @@
+import contextlib
+import csv
+import inspect
+import io
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 import coeffident.identity as identity
-from coeffident.algebra import Poly, binomial
+from coeffident.algebra import Poly, binomial, rising_factorial
+from coeffident.cli import _emit
+from coeffident.residues import derivative_table
 from coeffident.identity import (
     MAX_JOBS,
     CorrectionInvariantError,
@@ -112,6 +120,32 @@ def test_compositions_validation():
         list(compositions(-1, 2))
     with pytest.raises(ValueError):
         list(compositions(2, 0))
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames=40):
+    """Set the recursion limit a few dozen frames above the current depth."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_compositions_and_derivative_table_need_no_recursion():
+    with recursion_headroom():
+        many = list(compositions(1, 200))
+        derivative_table.cache_clear()
+        table = derivative_table(50)
+    assert many == [tuple(int(i == 199 - k) for i in range(200)) for k in range(200)]
+    assert len(table.entries) == 26
+    assert table.entries[0] == rising_factorial(Poly.indeterminate() + 1, 50)
+
+
+def test_caches_are_bounded():
+    for cached in (identity._coordinate_factors, derivative_table):
+        assert cached.cache_info().maxsize is not None
 
 
 # --- the four routes ----------------------------------------------------------------
@@ -227,17 +261,31 @@ def test_verify_report_metadata():
     )
 
 
+def emitted_csv(record):
+    out = io.StringIO()
+    assert _emit(out, "csv", [record]) == 0
+    return list(csv.reader(io.StringIO(out.getvalue())))
+
+
 def test_report_serialization_round_trip():
     report = verify(SPOT)
     d = report.to_json_dict()
+    assert list(d) == [
+        "s", "d", "alpha", "gamma",
+        "lhs_direct", "lhs_residue", "lhs_product", "rhs", "all_equal",
+        "time_direct_us", "time_residue_us", "time_product_us", "time_rhs_us",
+        "direct_terms", "residue_ops", "product_ops",
+    ]
     assert d["s"] == 1 and d["d"] == 1
     assert d["alpha"] == [1, 2]
     assert d["gamma"] == ["0", "0"]
     assert d["lhs_direct"] == d["rhs"] == "4"
     assert d["all_equal"] is True
-    row = report.csv_row()
-    assert len(row) == len(report.CSV_FIELDS)
-    assert row[:4] == ["1", "1", "1,2", "0,0"]
+    assert json.loads(json.dumps(d)) == d
+    header, row = emitted_csv(d)
+    assert header == list(d)
+    assert row[:9] == ["1", "1", "1,2", "0,0", "4", "4", "4", "4", "true"]
+    assert row[13:] == [str(report.direct_terms), str(report.residue_ops), str(report.product_ops)]
 
 
 # --- oracle cross-checks -----------------------------------------------------------
@@ -431,5 +479,12 @@ def test_bench_instance_counters():
 def test_bench_row_serialization():
     row = bench_instance(SPOT)
     d = row.to_json_dict()
+    assert list(d) == [
+        "s", "d", "alpha", "gamma", "lhs_direct", "lhs_residue", "routes_equal",
+        "direct_terms", "residue_ops", "time_direct_us", "time_residue_us",
+    ]
     assert d["routes_equal"] is True
-    assert len(row.csv_row()) == len(row.CSV_FIELDS)
+    assert json.loads(json.dumps(d)) == d
+    header, cells = emitted_csv(d)
+    assert header == list(d)
+    assert cells[:8] == ["1", "1", "1,2", "0,0", "4", "4", "true", "3"]
