@@ -156,19 +156,27 @@ def _coordinate_factors(alpha_i: int, gamma_i: Fraction, limit: int) -> tuple[Fr
     )
 
 
-def _inner_sum_counted(inst: IdentityInstance, j: int) -> tuple[Fraction, int]:
-    tables = [
-        _coordinate_factors(a, g, inst.s) for a, g in zip(inst.alpha, inst.gamma)
-    ]
+def _composition_sum(
+    tables: Sequence[Sequence[Fraction]], n: int
+) -> tuple[Fraction, int]:
+    """Sum over the compositions beta of n into len(tables) parts of
+    prod_i tables[i][beta_i], and the number of compositions."""
     total = Fraction(0)
     terms = 0
-    for beta in compositions(inst.s - j, len(tables)):
+    for beta in compositions(n, len(tables)):
         term = Fraction(1)
         for table, b in zip(tables, beta):
             term *= table[b]
         total += term
         terms += 1
     return total, terms
+
+
+def _inner_sum_counted(inst: IdentityInstance, j: int) -> tuple[Fraction, int]:
+    tables = [
+        _coordinate_factors(a, g, inst.s) for a, g in zip(inst.alpha, inst.gamma)
+    ]
+    return _composition_sum(tables, inst.s - j)
 
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
@@ -388,6 +396,47 @@ def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Poly:
     return Poly(coeffs, var="gamma")
 
 
+def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
+    """The direct left side with gamma[coordinate] pinned to each of
+    x = 0, 1, ..., s + alpha_c, in that order.
+
+    Grouping the compositions of s - j by their coordinate-c part b gives
+    S_j(x) = sum_b T(x)[b] * R[s - j - b], where T(x) is coordinate c's
+    factor table at gamma_c = x and R[m] sums the composition products of
+    m over the other coordinates.  R does not depend on x, so the other
+    coordinates' compositions are enumerated once per call, and each node
+    adds an O(s**2) convolution and the alternating j-sum.  The regrouped
+    sum is the same exact sum, so every value equals ``lhs_direct`` of
+    the pinned instance.
+    """
+    s = inst.s
+    alpha_c = inst.alpha[coordinate]
+    others = [
+        _coordinate_factors(a, g, s)
+        for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma))
+        if i != coordinate
+    ]
+    if others:
+        rest = [_composition_sum(others, m)[0] for m in range(s + 1)]
+    else:
+        rest = [Fraction(1)] + [Fraction(0)] * s
+    top0 = inst.d + sum(inst.alpha) + sum(
+        g for i, g in enumerate(inst.gamma) if i != coordinate
+    )
+    values = []
+    for x in range(s + alpha_c + 1):
+        table = _coordinate_factors(alpha_c, Fraction(x), s)
+        top = top0 + x
+        total = Fraction(0)
+        signed_binom = Fraction(1)  # (-1)**j * C(top, j)
+        for j in range(s + 1):
+            m = s - j
+            total += signed_binom * sum(table[b] * rest[m - b] for b in range(m + 1))
+            signed_binom = signed_binom * (j - top) / (j + 1)
+        values.append(total)
+    return values
+
+
 def verify_poly_gamma(
     inst: IdentityInstance, coordinate: int
 ) -> tuple[Poly, Poly, bool]:
@@ -403,22 +452,16 @@ def verify_poly_gamma(
     So the left side has degree at most s + alpha_c, and the right side,
     4**s C(x + alpha_c, alpha_c) times constants, has degree alpha_c.
     Two polynomials of degree at most n - 1 = s + alpha_c that agree at
-    n distinct points are equal.  So the scalar direct route is evaluated
-    at x = 0, 1, ..., n - 1, ``lhs_poly`` is the unique interpolating
-    polynomial through those values, and ``lhs_poly == rhs_poly``
-    proves the identity for *every* value of x, rational or not.
+    n distinct points are equal.  So the direct left side is evaluated
+    exactly at x = 0, 1, ..., n - 1 (``_lhs_at_nodes``), ``lhs_poly`` is
+    the unique interpolating polynomial through those values, and
+    ``lhs_poly == rhs_poly`` proves the identity for *every* value of x,
+    rational or not.
     """
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
-    nodes = range(inst.s + alpha_c + 1)
-    values = []
-    gammas = list(inst.gamma)
-    for x in nodes:
-        gammas[coordinate] = Fraction(x)
-        pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
-        values.append(_lhs_direct_counted(pinned)[0])
-    lhs = _interpolate(nodes, values)
+    lhs = _interpolate(range(inst.s + alpha_c + 1), _lhs_at_nodes(inst, coordinate))
     const = Fraction(4) ** inst.s
     for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
         if i != coordinate:

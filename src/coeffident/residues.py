@@ -88,23 +88,30 @@ def derivative_table(alpha: int) -> DerivativeTable:
     at level a + 1 (the first term from differentiating the f-power,
     the second from g' = -f turning a g into an f and bumping k).  The
     levels are stepped through in a loop from level 0, so any alpha
-    works without recursion.
+    works without recursion.  The rows stay integer coefficient lists
+    (lowest degree first) throughout and become ``Poly`` once, at the
+    end.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    c = Poly.indeterminate("gamma")
-    prev: tuple[Poly, ...] = (Poly((1,), var="gamma"),)
+    prev: list[list[int]] = [[1]]
     for a in range(alpha):
         entries = []
         for k in range((a + 1) // 2 + 1):
-            acc = Poly((), var="gamma")
+            # row k has degree at most a + 1 - k at level a + 1
+            acc = [0] * (a + 2 - k)
             if k < len(prev):
-                acc = acc + prev[k] * (c + (1 + a - 2 * k))
-            if 1 <= k and k - 1 < len(prev):
-                acc = acc - prev[k - 1] * (a - 2 * k + 2)
+                shift = 1 + a - 2 * k
+                for i, p in enumerate(prev[k]):
+                    acc[i] += shift * p
+                    acc[i + 1] += p
+            if k >= 1:
+                drop = a - 2 * k + 2
+                for i, p in enumerate(prev[k - 1]):
+                    acc[i] -= drop * p
             entries.append(acc)
-        prev = tuple(entries)
-    return DerivativeTable(alpha, prev)
+        prev = entries
+    return DerivativeTable(alpha, tuple(Poly(row, var="gamma") for row in prev))
 
 
 def correction_weight(alpha: int, k: int, gamma) -> Fraction:

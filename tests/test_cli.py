@@ -171,13 +171,14 @@ def test_verify_poly_gamma_out_of_range(capsys):
 def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
     # one wrong node value, at a gamma the scalar routes never pin, must
     # flip poly_equal and the exit status while all_equal stays true
-    real = identity._lhs_direct_counted
+    real = identity._lhs_at_nodes
 
-    def one_wrong_node(inst):
-        value, terms = real(inst)
-        return (value + 1 if inst.gamma[1] == 2 else value), terms
+    def one_wrong_node(*args):
+        values = real(*args)
+        values[2] += 1  # the node gamma_1 = 2
+        return values
 
-    monkeypatch.setattr(identity, "_lhs_direct_counted", one_wrong_node)
+    monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
     code, lines, _ = run_lines(
         capsys,
         ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2", "--poly-gamma", "1"],

@@ -382,19 +382,63 @@ def test_poly_gamma_uses_every_node(monkeypatch, where):
     coordinate = 0
     n = inst.s + inst.alpha[coordinate] + 1
     node = {"first": 0, "middle": n // 2, "last": n - 1}[where]
-    real = identity._lhs_direct_counted
+    real = identity._lhs_at_nodes
 
-    def one_wrong_node(pinned):
-        value, terms = real(pinned)
-        if pinned.gamma[coordinate] == node:
-            value += 1
-        return value, terms
+    def one_wrong_node(*args):
+        values = real(*args)
+        values[node] += 1
+        return values
 
-    monkeypatch.setattr(identity, "_lhs_direct_counted", one_wrong_node)
+    monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
     lhs, rhs, equal = verify_poly_gamma(inst, coordinate)
     assert equal is False
     assert lhs != rhs
     assert lhs(node) == rhs(node) + 1
+
+
+def node_cases():
+    """Instances and coordinates whose node values are checked one by one."""
+    yield from criterion_6_cells()
+    for s in range(5):  # d = 0: no other coordinates
+        yield IdentityInstance(s=s, alpha=(2 * s + 1,), gamma=(F(1, 3),)), 0
+    # alpha_c = 0, the other gammas negative non-integers
+    yield IdentityInstance(s=3, alpha=(0, 4, 3), gamma=(F(2), F(-5, 2), F(-7, 3))), 0
+    yield IdentityInstance(s=2, alpha=(2, 0, 3), gamma=(F(-1, 2), F(0), F(-9, 4))), 1
+    yield IdentityInstance(s=3, alpha=(5, 2), gamma=(F(0), F(-11, 3))), 0
+
+
+def test_lhs_at_nodes_is_the_direct_route():
+    for inst, i in node_cases():
+        values = identity._lhs_at_nodes(inst, i)
+        assert len(values) == inst.s + inst.alpha[i] + 1
+        for x, value in enumerate(values):
+            gammas = list(inst.gamma)
+            gammas[i] = F(x)
+            pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
+            assert value == lhs_direct(pinned)
+
+
+@pytest.mark.parametrize(
+    "alpha, coordinate",
+    [((1, 6), 0), ((1, 6), 1), ((7, 0), 0), ((2, 0, 5), 2), ((0, 3, 4), 0)],
+)
+def test_poly_gamma_enumerates_the_other_coordinates_once(monkeypatch, alpha, coordinate):
+    # one pass over the compositions of m = 0..s into the d other parts,
+    # however many nodes alpha_c asks for
+    inst = IdentityInstance(s=3, alpha=alpha, gamma=(F(1, 2),) * len(alpha))
+    real = identity.compositions
+    yielded = 0
+
+    def counted(n, parts):
+        nonlocal yielded
+        for beta in real(n, parts):
+            yielded += 1
+            yield beta
+
+    monkeypatch.setattr(identity, "compositions", counted)
+    assert verify_poly_gamma(inst, coordinate)[2]
+    d = inst.d
+    assert yielded == sum(math.comb(m + d - 1, d - 1) for m in range(inst.s + 1))
 
 
 # --- enumeration, sweep, bench -----------------------------------------------------------

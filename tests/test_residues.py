@@ -47,11 +47,30 @@ def test_table_leading_entry_is_rising_factorial():
         assert derivative_table(alpha).entries[0] == rising_factorial(x + 1, alpha)
 
 
+def poly_recurrence_rows(alpha):
+    """The table's two-term recurrence written out in Poly arithmetic."""
+    c = Poly.indeterminate()
+    rows = [Poly([1])]
+    for a in range(alpha):
+        nxt = []
+        for k in range((a + 1) // 2 + 1):
+            acc = Poly([])
+            if k < len(rows):
+                acc = acc + rows[k] * (c + (1 + a - 2 * k))
+            if k >= 1:
+                acc = acc - rows[k - 1] * (a - 2 * k + 2)
+            nxt.append(acc)
+        rows = nxt
+    return tuple(rows)
+
+
 def test_table_row_count_and_integrality():
-    for alpha in range(11):
+    for alpha in range(26):
         table = derivative_table(alpha)
         assert len(table.entries) == alpha // 2 + 1
+        assert table.entries == poly_recurrence_rows(alpha)
         for entry in table.entries:
+            assert entry.var == "gamma"
             assert all(c.denominator == 1 for c in entry.coeffs)
 
 
