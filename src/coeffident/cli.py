@@ -16,9 +16,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Any, Callable, Iterable, NamedTuple
 
 from .algebra import parse_rational
 from .identity import (
@@ -65,155 +65,153 @@ class CliConfig:
     order: int = 0
 
     def to_argv(self) -> list[str]:
+        # --name=value throughout: a rational value may start with "-",
+        # which argparse would read as a flag
         args = [self.subcommand]
-        # rational values may start with "-", which argparse would read as
-        # a flag, so those are always emitted in --name=value form
-        if self.subcommand == "verify":
-            args += ["--s", str(self.s)]
-            args += ["--alpha", ",".join(str(a) for a in self.alpha)]
-            args += ["--gamma=" + ",".join(str(g) for g in self.gamma)]
-            if self.poly_gamma is not None:
-                args += ["--poly-gamma", str(self.poly_gamma)]
-        elif self.subcommand in ("sweep", "bench"):
-            args += ["--max-s", str(self.max_s), "--max-d", str(self.max_d)]
-            args += ["--gamma-set=" + ",".join(str(g) for g in self.gamma_set)]
-            if self.cap is not None:
-                args += ["--cap", str(self.cap)]
-            args += ["--jobs", str(self.jobs)]
-        elif self.subcommand == "lemma2":
-            args += ["--alpha", str(self.alpha_value)]
-        elif self.subcommand == "lemma3":
-            args += ["--max-s", str(self.max_s)]
-        elif self.subcommand == "jseries":
-            args += ["--alpha", str(self.alpha_value)]
-            args += ["--gamma=" + str(self.gamma_value)]
-            args += ["--order", str(self.order)]
-        if self.subcommand != "bench":  # bench is CSV only and has no --format
-            args += ["--format", self.format]
+        for flag in _COMMANDS[self.subcommand][1]:
+            value = getattr(self, flag.field)
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            if value is not None:
+                args.append(f"{flag.name}={value}")
         return args
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Flag(NamedTuple):
+    """One flag of one subcommand.
+
+    ``read`` turns its text into the ``field`` value.  An ``int`` flag is
+    read by argparse itself, which reports bad text with the usage line;
+    any other reader runs after argparse, and its ValueError becomes a
+    UsageError.  An ``int`` value must keep ``low <= value <= high``.  An
+    optional flag that is not given leaves the ``CliConfig`` default."""
+
+    name: str
+    field: str
+    read: Callable[[str], Any] = int
+    low: int | None = None
+    high: int | None = None
+    help: str | None = None
+    optional: bool = False
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        """argparse's attribute for the flag: --max-s -> max_s."""
+        return self.name[2:].replace("-", "_")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(piece) for piece in text.split(","))
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(piece) for piece in text.split(","))
+
+
+_FORMAT = _Flag("--format", "format", str, optional=True, choices=("json", "csv"))
+
+
+def _grid_flags(cap_help: str | None) -> tuple[_Flag, ...]:
+    return (
+        _Flag("--max-s", "max_s", low=0),
+        _Flag("--max-d", "max_d", low=0),
+        _Flag("--gamma-set", "gamma_set", _rationals, help="comma-separated rationals"),
+        _Flag("--cap", "cap", low=1, optional=True, help=cap_help),
+        _Flag("--jobs", "jobs", low=1, high=MAX_JOBS, optional=True),
+    )
+
+
+# subcommand -> (help, flags); bench is CSV only and has no --format
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
+    "verify": (
+        "check one instance by all routes",
+        (
+            _Flag("--s", "s", help="outer parameter s >= 0"),
+            _Flag("--alpha", "alpha", _ints, help="comma-separated integers"),
+            _Flag("--gamma", "gamma", _rationals, help="comma-separated rationals p/q"),
+            _Flag(
+                "--poly-gamma",
+                "poly_gamma",
+                optional=True,
+                metavar="I",
+                help="also certify polynomially in gamma coordinate I",
+            ),
+            _FORMAT,
+        ),
+    ),
+    "sweep": (
+        "verify a whole parameter grid",
+        _grid_flags("stop after this many instances") + (_FORMAT,),
+    ),
+    "lemma2": (
+        "print a derivative-expansion table",
+        (_Flag("--alpha", "alpha_value", low=0), _FORMAT),
+    ),
+    "lemma3": (
+        "print base and correction residues",
+        (_Flag("--max-s", "max_s", low=0), _FORMAT),
+    ),
+    "jseries": (
+        "print one coordinate's residue series",
+        (
+            _Flag("--alpha", "alpha_value", low=0),
+            _Flag("--gamma", "gamma_value", parse_rational, help="rational p/q"),
+            _Flag("--order", "order", low=0),
+            _FORMAT,
+        ),
+    ),
+    "bench": ("compare route costs over a grid (CSV)", _grid_flags(None)),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coeffident",
         description="Exact verification of a multi-binomial identity "
         "by independent evaluation routes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("verify", help="check one instance by all routes")
-    p.add_argument("--s", type=int, required=True, help="outer parameter s >= 0")
-    p.add_argument("--alpha", required=True, help="comma-separated integers")
-    p.add_argument("--gamma", required=True, help="comma-separated rationals p/q")
-    p.add_argument(
-        "--poly-gamma",
-        type=int,
-        default=None,
-        metavar="I",
-        help="also certify polynomially in gamma coordinate I",
-    )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("sweep", help="verify a whole parameter grid")
-    p.add_argument("--max-s", type=int, required=True)
-    p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--gamma-set", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int, default=None, help="stop after this many instances")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("lemma2", help="print a derivative-expansion table")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("lemma3", help="print base and correction residues")
-    p.add_argument("--max-s", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("jseries", help="print one coordinate's residue series")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--gamma", required=True, help="rational p/q")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("bench", help="compare route costs over a grid (CSV)")
-    p.add_argument("--max-s", type=int, required=True)
-    p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--gamma-set", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(
+                flag.name,
+                type=int if flag.read is int else None,
+                required=not flag.optional,
+                help=flag.help,
+                metavar=flag.metavar,
+                choices=flag.choices,
+            )
     return parser
 
 
-def _parse_int_vector(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
-def _parse_rational_vector(text: str, flag: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(piece) for piece in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+_PARSER = _build_parser()
 
 
 def parse_config(argv: list[str]) -> CliConfig:
     """argparse plus semantic validation; raises UsageError on bad input."""
-    ns = build_parser().parse_args(argv)
-    sub = ns.subcommand
-    if sub == "verify":
-        return CliConfig(
-            subcommand=sub,
-            s=ns.s,
-            alpha=_parse_int_vector(ns.alpha, "--alpha"),
-            gamma=_parse_rational_vector(ns.gamma, "--gamma"),
-            poly_gamma=ns.poly_gamma,
-            format=ns.format,
-        )
-    if sub in ("sweep", "bench"):
-        if ns.max_s < 0 or ns.max_d < 0:
-            raise UsageError("--max-s and --max-d must be >= 0")
-        if ns.cap is not None and ns.cap < 1:
-            raise UsageError("--cap must be >= 1")
-        if not 1 <= ns.jobs <= MAX_JOBS:
-            raise UsageError(f"--jobs must be in 1..{MAX_JOBS}")
-        return CliConfig(
-            subcommand=sub,
-            max_s=ns.max_s,
-            max_d=ns.max_d,
-            gamma_set=_parse_rational_vector(ns.gamma_set, "--gamma-set"),
-            cap=ns.cap,
-            jobs=ns.jobs,
-            format="csv" if sub == "bench" else ns.format,
-        )
-    if sub == "lemma2":
-        if ns.alpha < 0:
-            raise UsageError("--alpha must be >= 0")
-        return CliConfig(subcommand=sub, alpha_value=ns.alpha, format=ns.format)
-    if sub == "lemma3":
-        if ns.max_s < 0:
-            raise UsageError("--max-s must be >= 0")
-        return CliConfig(subcommand=sub, max_s=ns.max_s, format=ns.format)
-    if sub == "jseries":
-        if ns.alpha < 0:
-            raise UsageError("--alpha must be >= 0")
-        if ns.order < 0:
-            raise UsageError("--order must be >= 0")
+    ns = _PARSER.parse_args(argv)
+    given = [
+        (flag, value)
+        for flag in _COMMANDS[ns.subcommand][1]
+        if (value := getattr(ns, flag.dest)) is not None
+    ]
+    for flag, value in given:  # every bound before any text is read
+        if flag.high is not None and not flag.low <= value <= flag.high:
+            raise UsageError(f"{flag.name} must be in {flag.low}..{flag.high}")
+        if flag.low is not None and value < flag.low:
+            raise UsageError(f"{flag.name} must be >= {flag.low}")
+    values = {}
+    for flag, value in given:
         try:
-            gamma_value = parse_rational(ns.gamma)
+            values[flag.field] = value if flag.read is int else flag.read(value)
         except ValueError as exc:
-            raise UsageError(f"--gamma: {exc}") from None
-        return CliConfig(
-            subcommand=sub,
-            alpha_value=ns.alpha,
-            gamma_value=gamma_value,
-            order=ns.order,
-            format=ns.format,
-        )
-    raise UsageError(f"unknown subcommand {sub!r}")  # pragma: no cover
+            raise UsageError(f"{flag.name}: {exc}") from None
+    if ns.subcommand == "bench":
+        values["format"] = "csv"
+    return CliConfig(subcommand=ns.subcommand, **values)
 
 
 # Record keys whose value false means a route disagreed (exit status 1).
@@ -254,12 +252,10 @@ def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
         inst = IdentityInstance(s=cfg.s, alpha=cfg.alpha, gamma=cfg.gamma)
     except InvalidInstance as exc:
         raise UsageError(str(exc)) from None
+    if cfg.poly_gamma is not None and not 0 <= cfg.poly_gamma <= inst.d:
+        raise UsageError(f"--poly-gamma index {cfg.poly_gamma} outside 0..{inst.d}")
     record = verify(inst).to_json_dict()
     if cfg.poly_gamma is not None:
-        if not 0 <= cfg.poly_gamma <= inst.d:
-            raise UsageError(
-                f"--poly-gamma index {cfg.poly_gamma} outside 0..{inst.d}"
-            )
         lhs, rhs, equal = verify_poly_gamma(inst, cfg.poly_gamma)
         record["poly_gamma"] = cfg.poly_gamma
         record["lhs_poly"] = [str(c) for c in lhs.coeffs]

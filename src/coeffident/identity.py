@@ -517,13 +517,13 @@ def _grid(
     """``route`` over the instance grid, yielded in enumeration order.
 
     With jobs > 1 the instances go to worker processes; ordered imap
-    keeps the output stream identical to the serial one.  More than
-    MAX_JOBS workers raise ValueError before any is started.
+    keeps the output stream identical to the serial one.  A jobs value
+    outside 1..MAX_JOBS raises ValueError before any work starts.
     """
-    if jobs > MAX_JOBS:
-        raise ValueError(f"jobs={jobs} exceeds MAX_JOBS={MAX_JOBS}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
     instances = iter_instances(max_s, max_d, gamma_set, cap)
-    if jobs <= 1:
+    if jobs == 1:
         yield from map(route, instances)
         return
     with multiprocessing.Pool(processes=jobs) as pool:
@@ -539,8 +539,9 @@ def sweep(
 ) -> Iterator[VerificationReport]:
     """``verify`` over the instance grid, yielded in enumeration order.
 
-    With jobs > 1 (at most MAX_JOBS) the instances are verified in worker
-    processes, and the stream is the same as the serial one.
+    1 ≤ jobs ≤ MAX_JOBS, else ValueError.  With jobs > 1 the instances
+    are verified in worker processes, and the stream is the same as the
+    serial one.
     """
     return _grid(verify, max_s, max_d, gamma_set, cap, jobs)
 
@@ -588,6 +589,6 @@ def bench(
     jobs: int = 1,
 ) -> Iterator[BenchRow]:
     """``bench_instance`` over the instance grid, in enumeration order
-    (which is already sorted by (s, d)).  ``jobs`` is bounded as in
-    ``sweep``."""
+    (which is already sorted by (s, d)).  1 ≤ jobs ≤ MAX_JOBS, else
+    ValueError; jobs > 1 runs worker processes as in ``sweep``."""
     return _grid(bench_instance, max_s, max_d, gamma_set, cap, jobs)

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -78,6 +80,31 @@ def test_parse_bounds_jobs(sub):
     assert cfg.jobs == identity.MAX_JOBS
     with pytest.raises(UsageError, match="--jobs"):
         parse_config(base + ["--jobs", str(identity.MAX_JOBS + 1)])
+
+
+def test_parser_is_built_once(monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("parse_config built an argparse parser")
+
+    monkeypatch.setattr(coeffident.cli.argparse, "ArgumentParser", no_parser)
+    expected = {
+        "verify --s 2 --alpha 5 --gamma=-7/3 --poly-gamma 0 --format csv": CliConfig(
+            "verify", format="csv", s=2, alpha=(5,), gamma=(F(-7, 3),), poly_gamma=0
+        ),
+        "sweep --max-s 2 --max-d 1 --gamma-set 0,1,1/2 --cap 50 --jobs 2": CliConfig(
+            "sweep", jobs=2, max_s=2, max_d=1, gamma_set=(F(0), F(1), F(1, 2)), cap=50
+        ),
+        "lemma2 --alpha 4": CliConfig("lemma2", alpha_value=4),
+        "lemma3 --max-s 6 --format csv": CliConfig("lemma3", format="csv", max_s=6),
+        "jseries --alpha 3 --gamma 1/2 --order 5": CliConfig(
+            "jseries", alpha_value=3, gamma_value=F(1, 2), order=5
+        ),
+        "bench --max-s 1 --max-d 1 --gamma-set 0,1": CliConfig(
+            "bench", format="csv", max_s=1, max_d=1, gamma_set=(F(0), F(1))
+        ),
+    }
+    for argv, cfg in expected.items():
+        assert parse_config(argv.split()) == cfg, argv
 
 
 def test_unicode_minus_accepted_in_vectors():
@@ -165,6 +192,19 @@ def test_verify_poly_gamma_out_of_range(capsys):
         ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0", "--poly-gamma", "5"],
     )
     assert code == 2
+    assert "poly-gamma" in err
+
+
+def test_verify_poly_gamma_index_checked_before_any_route(capsys, monkeypatch):
+    def no_route(inst):
+        raise AssertionError("a route ran before --poly-gamma was checked")
+
+    monkeypatch.setattr(coeffident.cli, "verify", no_route)
+    code, lines, err = run_lines(
+        capsys,
+        ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0", "--poly-gamma", "5"],
+    )
+    assert (code, lines) == (2, [])
     assert "poly-gamma" in err
 
 
@@ -390,6 +430,72 @@ def test_bench_csv_counters(capsys):
     # sorted by (s, d)
     keys = [(int(r["s"]), int(r["d"])) for r in rows]
     assert keys == sorted(keys)
+
+
+# --- golden output ----------------------------------------------------------------------------
+#
+# Each argv's stdout, with the time_*_us values blanked, and exit status,
+# pinned by digest.  --help pages are left out: argparse formats them
+# differently across Python versions.
+
+GOLDEN = [
+    (["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"], 0, "40ef9ab56d67486d116a2c7a4cb1473e2dba3edf011608a719677eb96f70de48"),
+    (["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0", "--format", "csv"], 0, "42d86853ec4e08c4bd970521d72636d52217e7e31474ce0efdb8668d42d43ba7"),
+    (["verify", "--s", "2", "--alpha", "5", "--gamma=-7/3", "--poly-gamma", "0", "--format", "csv"], 0, "746487e7aefeba1b8e36880b33229b7944d9926e46e988617b96dcda34795ad6"),
+    (["verify", "--s", "2", "--alpha", "5", "--gamma=-7/3", "--poly-gamma", "0", "--format", "json"], 0, "5737b3bd53243bbc1de85182378286e1ed96a40780c118c2d1285bee555c0c7c"),
+    (["sweep", "--max-s", "2", "--max-d", "1", "--gamma-set", "0,1,1/2", "--cap", "50", "--jobs", "2", "--format", "csv"], 0, "d2d2a664f2613281368f6a0fc5789d8e35e399556c28a848eafb5d9e42ddd5ca"),
+    (["sweep", "--max-s", "2", "--max-d", "1", "--gamma-set", "0,1,1/2", "--cap", "50", "--jobs", "2", "--format", "json"], 0, "f84a687c2ae9178e4569643e5adb99a275bf492b943ec7fc3c5b43ddc7d3d5cf"),
+    (["sweep", "--max-s", "0", "--max-d", "0", "--gamma-set=-1/2", "--jobs", "1", "--format", "json"], 0, "68ebe42a3b722ec18bd96b3e9c3177f20591adcdd4216e731fa4dd98b9dc7ed1"),
+    (["sweep", "--max-s", "0", "--max-d", "0", "--gamma-set=-1/2", "--jobs", "1", "--format", "csv"], 0, "9897a6098f7529773842827935e10afc75c81dbf127976be0c4b58c7bc43763a"),
+    (["lemma2", "--alpha", "4", "--format", "json"], 0, "d44d96f95ff855ddd299387f060d658b30d11e1b2c517403b1e225733c8b70e7"),
+    (["lemma2", "--alpha", "4", "--format", "csv"], 0, "1872a921873fc587426d845280e099a418780c5ea2f8eff02cffcb605d506f1f"),
+    (["lemma3", "--max-s", "6", "--format", "csv"], 0, "840bebee06e70c2b9d4e4fb7a5a41dcd0f52d7bb5d70c88fbefc60bd446ecc7f"),
+    (["lemma3", "--max-s", "6", "--format", "json"], 0, "b1954a3fe9a20ba63647f9c7bef81aafb0487d555ce15ae281819b0c6bdb87fe"),
+    (["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "json"], 0, "e76ac84bf4ee5a0fe33792988fe3a4e333bc3be56f33cd8f57ed9001578cc681"),
+    (["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "csv"], 0, "75ca0f400d7e8fac67e9134c1404abf0b6f0f61b7cf1c2a036ad4d68e3a17295"),
+    (["bench", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1"], 0, "5a234782bec59f2d87c01f57091a0e93f8fc76be8e8d730316ef2e23e47da03a"),
+    (["verify", "--s", "2", "--alpha", "1,3,1", "--gamma=-1/2,0,3", "--poly-gamma", "1"], 0, "f2040d0ccbe5da9c1bdc4372e013960525605cd18dba82a683e6e2cf1b915096"),
+    (["verify", "--s", "2", "--alpha", "1,3,1", "--gamma=-1/2,0,3", "--poly-gamma", "1", "--format", "csv"], 0, "3f5f1390dd8bb8e82a62194818f31606e4f0b393429014889035636aa46d9668"),
+    (["lemma2", "--alpha", "0"], 0, "22f99d7842f820fe242938038328bae34957aea54b14280f770efd11bf1a3adb"),
+    (["lemma2", "--alpha", "0", "--format", "csv"], 0, "609dc0a20e881f0d6f07e7bd5a36f8fa8cc8f1d6ad65b06e60e27e09a2e7298f"),
+    (["lemma2", "--alpha", "1"], 0, "85e985158f2c18f247a534ed121a9435912df9f0992e4468589e30106eb7eaa7"),
+    (["lemma2", "--alpha", "1", "--format", "csv"], 0, "cef2733d8f0b4b4984365b99002b56e67dbb8fa55c5c9e36ee2992767bd01d3f"),
+    (["lemma2", "--alpha", "7"], 0, "e56f7d40eb40acaa6b241603a35e31bd867e5c7a2f2f9290f262281478e56410"),
+    (["lemma2", "--alpha", "7", "--format", "csv"], 0, "2b00c8b66393135af87363bb6048349a086397c590cf6a4feb948b42038be011"),
+    (["lemma3", "--max-s", "0"], 0, "b137e91f08ddf4d76c3880bfcf63121b6f1b939d35d605908be1cfb33a777eea"),
+    (["jseries", "--alpha", "2", "--gamma=-1/3", "--order", "0"], 0, "a5abf7f2eb9f38af74d35d1a80974a202aca77d78a843e0e6908b7d456cf1664"),
+    (["sweep", "--max-s", "1", "--max-d", "2", "--gamma-set", "0,1/2", "--cap", "30", "--jobs", "2"], 0, "38bc3bff1a4c9c8262b807f0e7edff14d0ef29353af840ede892afc1f79c9774"),
+]
+
+TIMING_KEY = re.compile(r"time_\w+_us")
+
+
+def blank_timings(text):
+    """``text`` with every time_*_us value emptied: JSON values by regex,
+    CSV cells by the columns whose header is time_*_us."""
+    if text.startswith("{"):
+        return re.sub(r'("time_\w+_us":)\d+', r"\1", text)
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return text
+    timed = [i for i, key in enumerate(rows[0]) if TIMING_KEY.fullmatch(key)]
+
+    def written(table):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(table)
+        return out.getvalue()
+
+    assert written(rows) == text  # so the rewrite keeps every other byte
+    return written(
+        [rows[0]] + [["" if i in timed else c for i, c in enumerate(row)] for row in rows[1:]]
+    )
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN)
+def test_output_is_pinned(capsys, argv, code, digest):
+    status = main(argv)
+    out = blank_timings(capsys.readouterr().out)
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 # --- the `coeffident` command -------------------------------------------------------------

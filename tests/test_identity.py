@@ -505,8 +505,9 @@ def test_sweep_parallel_matches_serial():
 
 @pytest.mark.parametrize("runner", [sweep, bench])
 def test_jobs_bound_checked_before_any_worker(runner):
-    with pytest.raises(ValueError, match="MAX_JOBS"):
-        next(runner(0, 0, (0,), jobs=MAX_JOBS + 1))
+    for jobs in (MAX_JOBS + 1, 0, -1):
+        with pytest.raises(ValueError, match="MAX_JOBS"):
+            next(runner(0, 0, (0,), jobs=jobs))
 
 
 def test_bench_instance_counters():
