@@ -37,8 +37,11 @@ def as_rational(value: Scalar) -> Fraction:
     """Coerce an int or Fraction to Fraction, refusing floats outright.
 
     ``Fraction(0.1)`` would silently produce the exact binary expansion of
-    the float, which is never what an exact computation wants.
+    the float, which is never what an exact computation wants.  An exact
+    ``Fraction`` is immutable and comes back as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an exact Fraction instead")
     return Fraction(value)

@@ -278,15 +278,21 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
             total += weight * correction_t_residue(inst.s, k)
     lead = Fraction(1)
     for a, g in zip(inst.alpha, inst.gamma):
-        lead *= binomial(g + a, a)
+        lead *= _leading_binomial(a, g)
     return lead * total
+
+
+@lru_cache(maxsize=256)
+def _leading_binomial(alpha_i: int, gamma_i: Fraction) -> Fraction:
+    """One coordinate's leading binomial C(gamma_i + alpha_i, alpha_i)."""
+    return binomial(gamma_i + alpha_i, alpha_i)
 
 
 def rhs_closed(inst: IdentityInstance) -> Fraction:
     """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i)."""
     acc = Fraction(4) ** inst.s
     for a, g in zip(inst.alpha, inst.gamma):
-        acc *= binomial(g + a, a)
+        acc *= _leading_binomial(a, g)
     return acc
 
 
@@ -465,7 +471,7 @@ def verify_poly_gamma(
     const = Fraction(4) ** inst.s
     for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
         if i != coordinate:
-            const *= binomial(g + a, a)
+            const *= _leading_binomial(a, g)
     rhs = Poly((const,)) * binomial(Poly.indeterminate() + alpha_c, alpha_c)
     return lhs, rhs, lhs == rhs
 

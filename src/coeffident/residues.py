@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Poly, as_rational
-from .series import TSeries, binomial_series, residue, _OPS
+from .series import TSeries, binomial_series, residue, _memoized, _OPS
 
 __all__ = [
     "DerivativeTable",
@@ -125,12 +125,14 @@ def correction_weight(alpha: int, k: int, gamma) -> Fraction:
     return derivative_table(alpha).weight(k, gamma)
 
 
+@_memoized(maxsize=256)
 def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
     """[w**alpha] of the exponential core, as a t-series, by direct sum.
 
     The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!.
-    Costs O(order * alpha) multiplications; deliberately uncached so
-    callers' cost reports are reproducible.
+    Costs O(order * alpha) multiplications.  Memoized; the counts are
+    logical work, replayed on cache hits, so callers' cost reports are
+    the same with a cold or a warm cache.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -177,6 +179,7 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
     return base * bracket
 
 
+@_memoized(maxsize=256)
 def base_t_residue(s: int) -> Fraction:
     """[t**s] (1-t)**(-1) (1+t)**(2s+1); equals 4**s.
 
@@ -189,6 +192,7 @@ def base_t_residue(s: int) -> Fraction:
     return residue(ser, s)
 
 
+@_memoized(maxsize=256)
 def correction_t_residue(s: int, k: int) -> Fraction:
     """[t**s] (1-t)**(k-1) (1+t)**(2s-k+1), for 1 <= k <= 2s.
 

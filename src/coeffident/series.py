@@ -14,6 +14,7 @@ multiplications so callers can report what a computation cost.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -63,10 +64,44 @@ def coefficient_ops() -> int:
     """Running total of coefficient multiplications performed so far.
 
     Callers measure a computation by differencing this before and after.
-    The counted work is deliberately uncached so identical computations
-    report identical costs.
+    The count is logical work: a memoized kernel replays the count of its
+    first evaluation on every cache hit, so identical computations report
+    identical costs whether the caches are cold or warm.
     """
     return _OPS.count
+
+
+def _memoized(maxsize: int):
+    """Bounded ``lru_cache`` for a pure kernel that keeps its op count.
+
+    Each cached result is stored with the ``coefficient_ops`` that its
+    first evaluation charged; the counter is put back after that
+    evaluation, and every call, hit or miss, adds the stored count.
+    ``typed=True`` keeps 1, Fraction(1) and 1.0 apart, so a float
+    argument is never answered from an exact entry and still reaches the
+    kernel's ``as_rational``, which refuses it.
+    """
+
+    def decorate(kernel):
+        @functools.lru_cache(maxsize=maxsize, typed=True)
+        def evaluate(*args, **kwargs):
+            before = _OPS.count
+            value = kernel(*args, **kwargs)
+            ops = _OPS.count - before
+            _OPS.count = before
+            return value, ops
+
+        @functools.wraps(kernel)
+        def memoized(*args, **kwargs):
+            value, ops = evaluate(*args, **kwargs)
+            _OPS.count += ops
+            return value
+
+        memoized.cache_info = evaluate.cache_info
+        memoized.cache_clear = evaluate.cache_clear
+        return memoized
+
+    return decorate
 
 
 class TSeries:
@@ -270,11 +305,13 @@ def residue(series: TSeries, m: int) -> Fraction:
     return series.coeffs[m]
 
 
+@_memoized(maxsize=256)
 def binomial_series(c: Scalar, r: Scalar, order: int, var: str = "t") -> TSeries:
     """The expansion of (1 + c*x)**r to the given order, r any rational.
 
     Coefficients come from the incremental ratio binom(r, n+1)/binom(r, n)
     = (r - n)/(n + 1), so the whole series costs O(order) multiplications.
+    Memoized; a cache hit still counts those multiplications.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")

@@ -58,6 +58,20 @@ def test_parse_format_round_trip(q):
 def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.5)
+    with pytest.raises(TypeError):
+        as_rational(1.0)
+
+
+def test_as_rational_returns_an_exact_fraction_unchanged():
+    q = F(3, 7)
+    assert as_rational(q) is q
+
+    class Tagged(F):
+        pass
+
+    converted = as_rational(Tagged(3, 7))
+    assert type(converted) is F and converted == q
+    assert type(as_rational(3)) is F and as_rational(3) == 3
 
 
 # --- generalized binomial --------------------------------------------------

@@ -261,6 +261,17 @@ def test_help_exits_0(capsys):
     assert "verify" in out and "sweep" in out and "bench" in out
 
 
+def help_text(capsys, argv):
+    assert main(argv) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_pages_explain_cap_and_lemma2_cost(capsys):
+    for grid in ("sweep", "bench"):
+        assert "--cap CAP stop after this many instances" in help_text(capsys, [grid, "--help"])
+    assert "alpha^3 operations" in help_text(capsys, ["lemma2", "--help"])
+
+
 # --- sweep ------------------------------------------------------------------------------
 
 

@@ -1,20 +1,29 @@
 import contextlib
 import csv
+import importlib
 import inspect
 import io
 import itertools
 import json
 import math
+import pkgutil
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import coeffident
 import coeffident.identity as identity
 from coeffident.algebra import Poly, binomial, rising_factorial
 from coeffident.cli import _emit
-from coeffident.residues import derivative_table
+from coeffident.residues import (
+    base_t_residue,
+    correction_t_residue,
+    derivative_table,
+    w_residue_series,
+)
+from coeffident.series import binomial_series, coefficient_ops
 from coeffident.identity import (
     MAX_JOBS,
     CorrectionInvariantError,
@@ -143,9 +152,83 @@ def test_compositions_and_derivative_table_need_no_recursion():
     assert table.entries[0] == rising_factorial(Poly.indeterminate() + 1, 50)
 
 
+def package_caches():
+    """Every cached function that a module of the package holds, once."""
+    found = {}
+    for info in pkgutil.iter_modules(coeffident.__path__):
+        module = importlib.import_module(f"coeffident.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found[id(value)] = value
+    return list(found.values())
+
+
+def clear_caches():
+    for cached in package_caches():
+        cached.cache_clear()
+
+
 def test_caches_are_bounded():
-    for cached in (identity._coordinate_factors, derivative_table):
-        assert cached.cache_info().maxsize is not None
+    caches = package_caches()
+    for cached in caches:
+        assert cached.cache_info().maxsize is not None, cached
+    known = (
+        identity._coordinate_factors,
+        identity._leading_binomial,
+        derivative_table,
+        w_residue_series,
+        base_t_residue,
+        correction_t_residue,
+        binomial_series,
+    )
+    assert all(any(c is k for c in caches) for k in known)
+
+
+def criterion_6_instances():
+    """The cells of acceptance criterion 6: s <= 2, d <= 2, gammas in {0, 1}."""
+    for s in range(3):
+        for d in range(3):
+            for alpha in compositions(2 * s + 1, d + 1):
+                for gamma in itertools.product((F(0), F(1)), repeat=d + 1):
+                    yield IdentityInstance(s=s, alpha=alpha, gamma=gamma)
+
+
+def untimed(report):
+    return {k: v for k, v in report.to_json_dict().items() if not k.startswith("time_")}
+
+
+def test_reports_do_not_depend_on_cache_state():
+    for inst in criterion_6_instances():
+        clear_caches()
+        cold = verify(inst)
+        warm = verify(inst)
+        assert untimed(cold) == untimed(warm)
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        (binomial_series, (-1, F(1, 2), 4)),
+        (w_residue_series, (3, F(1, 2), 4)),
+        (base_t_residue, (3,)),
+        (correction_t_residue, (3, 2)),
+    ],
+)
+def test_memoized_kernel_charges_the_same_ops_cold_and_warm(kernel, args):
+    def charged(fn):
+        ops0 = coefficient_ops()
+        value = fn(*args)
+        return value, coefficient_ops() - ops0
+
+    clear_caches()
+    uncached = charged(kernel.__wrapped__)
+    clear_caches()
+    cold = charged(kernel)
+    hits = kernel.cache_info().hits
+    warm = charged(kernel)
+    assert kernel.cache_info().hits == hits + 1
+    assert cold == warm == uncached
+    assert cold[1] > 0
 
 
 # --- the four routes ----------------------------------------------------------------
@@ -495,12 +578,10 @@ def test_sweep_serial():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = list(sweep(1, 1, (F(0), F(1, 2))))
-    parallel = list(sweep(1, 1, (F(0), F(1, 2)), jobs=2))
-    stripped = lambda r: (r.instance, r.lhs_direct, r.lhs_residue, r.lhs_product,
-                          r.rhs, r.all_equal, r.direct_terms, r.residue_ops,
-                          r.product_ops)
-    assert [stripped(r) for r in serial] == [stripped(r) for r in parallel]
+    serial = [untimed(r) for r in sweep(2, 2, (0, 1, "1/2"), jobs=1)]
+    clear_caches()  # the workers fork from a process with empty caches
+    parallel = [untimed(r) for r in sweep(2, 2, (0, 1, "1/2"), jobs=2)]
+    assert parallel == serial
 
 
 @pytest.mark.parametrize("runner", [sweep, bench])

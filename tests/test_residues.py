@@ -12,7 +12,7 @@ from coeffident.residues import (
     w_residue_closed,
     w_residue_series,
 )
-from coeffident.series import TSeries, nested_exp_core
+from coeffident.series import TSeries, binomial_series, nested_exp_core
 
 GAMMAS = (F(0), F(1), F(2), F(-1, 2), F(3, 7))
 
@@ -224,3 +224,13 @@ def test_palindromic_antisymmetry_small():
             sign = (-1) ** (k - 1)
             for j in range(2 * s + 1):
                 assert poly.coeffs[j] == sign * poly.coeffs[2 * s - j]
+
+
+def test_floats_are_refused_after_a_warm_hit():
+    # the exact entries are cached first; a float key must not reach them
+    w_residue_series(2, 1, 3)
+    binomial_series(-1, 2, 3)
+    with pytest.raises(TypeError):
+        w_residue_series(2, 1.0, 3)
+    with pytest.raises(TypeError):
+        binomial_series(-1, 2.0, 3)
