@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -45,6 +45,14 @@ def as_rational(value: Scalar) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an exact Fraction instead")
     return Fraction(value)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their lowest common denominator:
+    ``values[i] == Fraction(nums[i], den)`` for ``nums, den``.  Exact kernels
+    sum these numerators as ints and make one Fraction at the end."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .algebra import Poly, as_rational, binomial
+from .algebra import Poly, _over_common_denominator, as_rational, binomial
 from .residues import (
     base_t_residue,
     correction_t_residue,
@@ -89,7 +89,9 @@ class IdentityInstance:
     """One cell of the identity: s plus the alpha and gamma vectors.
 
     Validation happens at construction: the two vectors must have equal
-    positive length, alpha must be nonnegative integers, and sum(alpha)
+    positive length, s and alpha must be nonnegative integers (anything
+    ``operator.index`` accepts; a float is refused, not truncated), gamma
+    must be exact rationals, and sum(alpha)
     must equal 2s+1 (the identity is not claimed outside that
     hypothesis).
     """
@@ -99,7 +101,13 @@ class IdentityInstance:
     gamma: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        try:
+            object.__setattr__(self, "s", operator.index(self.s))
+            object.__setattr__(
+                self, "alpha", tuple(operator.index(a) for a in self.alpha)
+            )
+        except TypeError as exc:
+            raise InvalidInstance(f"s and alpha must be integers: {exc}") from None
         object.__setattr__(
             self, "gamma", tuple(as_rational(g) for g in self.gamma)
         )
@@ -147,56 +155,84 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _coordinate_factors(alpha_i: int, gamma_i: Fraction, limit: int) -> tuple[Fraction, ...]:
-    """One coordinate's factor C(b+g, b) (2b+g+1)**a / a! for b = 0..limit."""
+def _coordinate_factors(
+    alpha_i: int, gamma_i: Fraction, limit: int
+) -> tuple[tuple[int, ...], int]:
+    """One coordinate's factors C(b+g, b) (2b+g+1)**a / a! for b = 0..limit,
+    as integer numerators over their lowest common denominator."""
     inv_fact = Fraction(1, math.factorial(alpha_i))
-    return tuple(
-        binomial(gamma_i + b, b) * (2 * b + gamma_i + 1) ** alpha_i * inv_fact
-        for b in range(limit + 1)
-    )
+    values = []
+    binom = Fraction(1)  # C(g+b, b), stepped by (g+b)/b
+    for b in range(limit + 1):
+        if b:
+            binom = binom * (gamma_i + b) / b
+        values.append(binom * (2 * b + gamma_i + 1) ** alpha_i * inv_fact)
+    nums, den = _over_common_denominator(values)
+    return tuple(nums), den
 
 
-def _composition_sum(
-    tables: Sequence[Sequence[Fraction]], n: int
-) -> tuple[Fraction, int]:
+def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int]:
+    """Every coordinate's integer factor table, and the product of their
+    denominators: the denominator of each composition product."""
+    tables = []
+    den = 1
+    for a, g in zip(inst.alpha, inst.gamma):
+        nums, table_den = _coordinate_factors(a, g, inst.s)
+        tables.append(nums)
+        den *= table_den
+    return tables, den
+
+
+def _composition_sum(tables: Sequence[Sequence[int]], n: int) -> tuple[int, int]:
     """Sum over the compositions beta of n into len(tables) parts of
     prod_i tables[i][beta_i], and the number of compositions."""
-    total = Fraction(0)
+    total = 0
     terms = 0
     for beta in compositions(n, len(tables)):
-        term = Fraction(1)
-        for table, b in zip(tables, beta):
-            term *= table[b]
-        total += term
+        total += math.prod(map(operator.getitem, tables, beta))
         terms += 1
     return total, terms
 
 
-def _inner_sum_counted(inst: IdentityInstance, j: int) -> tuple[Fraction, int]:
-    tables = [
-        _coordinate_factors(a, g, inst.s) for a, g in zip(inst.alpha, inst.gamma)
-    ]
-    return _composition_sum(tables, inst.s - j)
+def _alternating_sum(top: Fraction, inner: Sequence[int], den: int) -> Fraction:
+    """sum_j (-1)**j C(top, j) * inner[j] / den over j = 0..s, s = len(inner) - 1.
+
+    With top = p/q, (-1)**j C(top, j) = prod_{i<j} (i*q - p) / (q**j j!).
+    Over the common denominator q**s s! its numerator is the integer
+    w_j = prod_{i<j} (i*q - p) * q**(s-j) s!/j!, stepped as one running
+    product w_{j+1} = w_j (j*q - p) / (q (j+1)); the division is exact
+    for j < s, since q (j+1) divides q**(s-j) s!/j!.  The only Fraction
+    is the result.
+    """
+    p, q = top.numerator, top.denominator
+    s = len(inner) - 1
+    scale = q**s * math.factorial(s)
+    weight = scale  # w_0
+    total = 0
+    for j, value in enumerate(inner):
+        total += weight * value
+        weight = weight * (j * q - p) // (q * (j + 1))
+    return Fraction(total, scale * den)
 
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     """The inner sum S_j: compositions of s-j across the coordinates."""
     if not 0 <= j <= inst.s:
         raise ValueError(f"j={j} outside 0..{inst.s}")
-    return _inner_sum_counted(inst, j)[0]
+    tables, den = _instance_tables(inst)
+    return Fraction(_composition_sum(tables, inst.s - j)[0], den)
 
 
 def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
-    top = inst.d + sum(inst.alpha) + sum(inst.gamma)
-    total = Fraction(0)
+    tables, den = _instance_tables(inst)
+    inner = []
     terms = 0
-    sign = 1
     for j in range(inst.s + 1):
-        value, n = _inner_sum_counted(inst, j)
-        total += sign * binomial(top, j) * value
+        value, n = _composition_sum(tables, inst.s - j)
+        inner.append(value)
         terms += n
-        sign = -sign
-    return total, terms
+    top = inst.d + sum(inst.alpha) + sum(inst.gamma)
+    return _alternating_sum(top, inner, den), terms
 
 
 def lhs_direct(inst: IdentityInstance) -> Fraction:
@@ -411,7 +447,9 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
     factor table at gamma_c = x and R[m] sums the composition products of
     m over the other coordinates.  R does not depend on x, so the other
     coordinates' compositions are enumerated once per call, and each node
-    adds an O(s**2) convolution and the alternating j-sum.  The regrouped
+    adds an O(s**2) convolution and the alternating j-sum.  T and R are
+    integer numerators over known denominators, so a node costs one
+    integer convolution and one final division.  The regrouped
     sum is the same exact sum, so every value equals ``lhs_direct`` of
     the pinned instance.
     """
@@ -422,24 +460,24 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
         for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma))
         if i != coordinate
     ]
+    rest_den = math.prod(den for _, den in others)
     if others:
-        rest = [_composition_sum(others, m)[0] for m in range(s + 1)]
+        tables = [nums for nums, _ in others]
+        rest = [_composition_sum(tables, m)[0] for m in range(s + 1)]
     else:
-        rest = [Fraction(1)] + [Fraction(0)] * s
+        rest = [1] + [0] * s
     top0 = inst.d + sum(inst.alpha) + sum(
         g for i, g in enumerate(inst.gamma) if i != coordinate
     )
     values = []
     for x in range(s + alpha_c + 1):
-        table = _coordinate_factors(alpha_c, Fraction(x), s)
-        top = top0 + x
-        total = Fraction(0)
-        signed_binom = Fraction(1)  # (-1)**j * C(top, j)
-        for j in range(s + 1):
-            m = s - j
-            total += signed_binom * sum(table[b] * rest[m - b] for b in range(m + 1))
-            signed_binom = signed_binom * (j - top) / (j + 1)
-        values.append(total)
+        table, den = _coordinate_factors(alpha_c, Fraction(x), s)
+        # inner[j] = sum_b T[b] R[m - b] with m = s - j
+        inner = [
+            sum(map(operator.mul, table[: m + 1], reversed(rest[: m + 1])))
+            for m in range(s, -1, -1)
+        ]
+        values.append(_alternating_sum(Fraction(top0 + x), inner, den * rest_den))
     return values
 
 

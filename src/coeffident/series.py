@@ -15,10 +15,11 @@ multiplications so callers can report what a computation cost.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .algebra import as_rational
+from .algebra import _over_common_denominator, as_rational
 
 __all__ = [
     "NonUnitSeries",
@@ -200,9 +201,12 @@ class TSeries:
             return NotImplemented
         self._check_compatible(other)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, da = _over_common_denominator(self.coeffs[: n + 1])
+        b, db = _over_common_denominator(other.coeffs[: n + 1])
+        b.reverse()  # b[n - i] is the t**i numerator
+        den = da * db
         out = [
-            sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            Fraction(sum(map(operator.mul, a[: k + 1], b[n - k :])), den)
             for k in range(n + 1)
         ]
         _OPS.count += (n + 1) * (n + 2) // 2

@@ -58,19 +58,26 @@ def oracle_compositions(n, parts):
     return out
 
 
+def oracle_factor(b, a, g):
+    return binomial(g + b, b) * (2 * b + g + 1) ** a / F(math.factorial(a))
+
+
+def oracle_inner(s, alpha, gamma, j):
+    inner = F(0)
+    for beta in oracle_compositions(s - j, len(alpha)):
+        term = F(1)
+        for b, a, g in zip(beta, alpha, gamma):
+            term *= oracle_factor(b, a, g)
+        inner += term
+    return inner
+
+
 def oracle_lhs(s, alpha, gamma):
     d = len(alpha) - 1
     top = d + sum(alpha) + sum(gamma)
     total = F(0)
     for j in range(s + 1):
-        inner = F(0)
-        for beta in oracle_compositions(s - j, d + 1):
-            term = F(1)
-            for b, a, g in zip(beta, alpha, gamma):
-                term *= binomial(g + b, b) * (2 * b + g + 1) ** a
-                term /= math.factorial(a)
-            inner += term
-        total += (-1) ** j * binomial(top, j) * inner
+        total += (-1) ** j * binomial(top, j) * oracle_inner(s, alpha, gamma, j)
     return total
 
 
@@ -99,6 +106,11 @@ def test_instance_validation():
         IdentityInstance(s=1, alpha=(4, -1), gamma=(F(0), F(0)))
     with pytest.raises(TypeError):
         IdentityInstance(s=0, alpha=(1,), gamma=(0.5,))
+    # non-integer s and alpha are refused, not truncated or left to the routes
+    with pytest.raises(InvalidInstance, match="integers"):
+        IdentityInstance(s=0, alpha=(1.9,), gamma=(0,))
+    with pytest.raises(InvalidInstance, match="integers"):
+        IdentityInstance(s=1.0, alpha=(3,), gamma=(0,))
 
 
 def test_instance_accepts_zero_coordinates():
@@ -391,6 +403,50 @@ def test_routes_match_oracle_on_random_instances():
         assert lhs_residue(inst) == expected
         assert lhs_product(inst) == expected
         assert rhs_closed(inst) == oracle_rhs(s, alpha, gamma) == expected
+
+
+def random_rational_instance(rng, max_s, max_d):
+    s = rng.randrange(0, max_s + 1)
+    d = rng.randrange(0, max_d + 1)
+    cuts = sorted(rng.randrange(0, 2 * s + 2) for _ in range(d))
+    alpha = tuple(b - a for a, b in zip((0, *cuts), (*cuts, 2 * s + 1)))
+    gamma = tuple(
+        F(rng.randrange(-40, 41), rng.randrange(1, 60)) for _ in range(d + 1)
+    )
+    return IdentityInstance(s=s, alpha=alpha, gamma=gamma)
+
+
+def test_direct_kernels_match_the_literal_sum():
+    rng = random.Random(90210)
+    for _ in range(40):
+        inst = random_rational_instance(rng, max_s=4, max_d=2)
+        s, alpha, gamma = inst.s, inst.alpha, inst.gamma
+        for j in range(s + 1):
+            assert inner_sum(inst, j) == oracle_inner(s, alpha, gamma, j)
+        assert lhs_direct(inst) == oracle_lhs(s, alpha, gamma)
+
+
+def test_lhs_at_nodes_matches_the_literal_sum():
+    rng = random.Random(4711)
+    for _ in range(12):
+        inst = random_rational_instance(rng, max_s=4, max_d=2)
+        c = rng.randrange(inst.d + 1)
+        for x, value in enumerate(identity._lhs_at_nodes(inst, c)):
+            gamma = inst.gamma[:c] + (F(x),) + inst.gamma[c + 1 :]
+            assert value == oracle_lhs(inst.s, inst.alpha, gamma)
+
+
+@pytest.mark.parametrize(
+    "alpha_i, gamma_i, limit",
+    [(0, F(0), 0), (3, F(0), 4), (5, F(1), 3), (2, F(-7, 6), 5), (4, F(3, 10), 4)],
+)
+def test_coordinate_factors_are_ints_over_the_lowest_denominator(alpha_i, gamma_i, limit):
+    nums, den = identity._coordinate_factors(alpha_i, gamma_i, limit)
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert type(den) is int and den > 0
+    values = [oracle_factor(b, alpha_i, gamma_i) for b in range(limit + 1)]
+    assert [F(n, den) for n in nums] == values
+    assert den == math.lcm(*(v.denominator for v in values))
 
 
 # --- polynomial certification ---------------------------------------------------------

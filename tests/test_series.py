@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coeffident.series import (
@@ -242,6 +242,33 @@ def test_coefficient_ops_counts_multiplications():
     TSeries([1, 2, 3]) * TSeries([4, 5, 6])
     after = coefficient_ops()
     assert after - before == 6  # 1 + 2 + 3 coefficient products
+
+
+coefficient_lists = st.lists(
+    st.one_of(
+        rationals,
+        st.just(F(0)),
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**15),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@given(coefficient_lists, coefficient_lists)
+@example([F(0), F(0), F(0)], [F(1, 3), F(-2), F(5, 7)])
+@example([F(-1, 10**20), F(3, 10**20 + 1)], [F(10**12, 7), F(-1), F(0), F(9, 2)])
+def test_mul_is_the_fraction_cauchy_product(xs, ys):
+    n = min(len(xs), len(ys)) - 1
+    expected = tuple(
+        sum((xs[i] * ys[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)
+    )
+    before = coefficient_ops()
+    product = TSeries(xs) * TSeries(ys)
+    assert coefficient_ops() - before == (n + 1) * (n + 2) // 2
+    assert product.order == n
+    assert product.coeffs == expected
+    assert all(type(c) is F for c in product.coeffs)
 
 
 # --- nested series ------------------------------------------------------------------
