@@ -12,7 +12,6 @@ Fraction equality, never floats, never tolerances.
 
 from .algebra import (
     Poly,
-    Rational,
     as_rational,
     binomial,
     parse_rational,
@@ -42,13 +41,10 @@ from .residues import (
 )
 from .identity import (
     MAX_JOBS,
-    BenchRow,
     CorrectionInvariantError,
     IdentityInstance,
     InvalidInstance,
     VerificationReport,
-    bench,
-    bench_instance,
     compositions,
     correction_polynomial,
     inner_sum,
@@ -65,7 +61,6 @@ from .identity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "as_rational",
     "parse_rational",
     "binomial",
@@ -94,7 +89,6 @@ __all__ = [
     "MAX_JOBS",
     "IdentityInstance",
     "VerificationReport",
-    "BenchRow",
     "compositions",
     "inner_sum",
     "lhs_direct",
@@ -106,6 +100,4 @@ __all__ = [
     "verify_poly_gamma",
     "iter_instances",
     "sweep",
-    "bench_instance",
-    "bench",
 ]

@@ -16,16 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "Rational",
     "as_rational",
     "parse_rational",
     "binomial",
     "rising_factorial",
     "Poly",
 ]
-
-# The one scalar type. Everything exact flows through this alias.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 _SCALARS = (int, Fraction)
@@ -117,10 +113,6 @@ class Poly:
             normalized.pop()
         self.coeffs = tuple(normalized)
         self.var = var
-
-    @classmethod
-    def constant(cls, value: Scalar, var: str = "gamma") -> "Poly":
-        return cls((value,), var)
 
     @classmethod
     def indeterminate(cls, var: str = "gamma") -> "Poly":

@@ -2,8 +2,8 @@
 
 Subcommands: ``verify`` one instance by all routes, ``sweep`` a parameter
 grid, ``lemma2`` / ``lemma3`` / ``jseries`` for inspecting the underlying
-tables and series, ``bench`` for route cost measurement.  Records are
-emitted one per line (JSON by default, CSV on request; bench is CSV).
+tables and series.  Records are emitted one per line (JSON by default,
+CSV on request).
 
 Exit status: 0 everything verified (or purely informational output),
 1 some route disagreed, 2 usage error.
@@ -25,7 +25,6 @@ from .identity import (
     MAX_JOBS,
     IdentityInstance,
     InvalidInstance,
-    bench,
     sweep,
     verify,
     verify_poly_gamma,
@@ -113,16 +112,7 @@ def _rationals(text: str) -> tuple[Fraction, ...]:
 _FORMAT = _Flag("--format", "format", str, optional=True, choices=("json", "csv"))
 
 
-_GRID_FLAGS = (
-    _Flag("--max-s", "max_s", low=0),
-    _Flag("--max-d", "max_d", low=0),
-    _Flag("--gamma-set", "gamma_set", _rationals, help="comma-separated rationals"),
-    _Flag("--cap", "cap", low=1, optional=True, help="stop after this many instances"),
-    _Flag("--jobs", "jobs", low=1, high=MAX_JOBS, optional=True),
-)
-
-
-# subcommand -> (help, flags); bench is CSV only and has no --format
+# subcommand -> (help, flags)
 _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
     "verify": (
         "check one instance by all routes",
@@ -142,7 +132,14 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
     ),
     "sweep": (
         "verify a whole parameter grid",
-        _GRID_FLAGS + (_FORMAT,),
+        (
+            _Flag("--max-s", "max_s", low=0),
+            _Flag("--max-d", "max_d", low=0),
+            _Flag("--gamma-set", "gamma_set", _rationals, help="comma-separated rationals"),
+            _Flag("--cap", "cap", low=1, optional=True, help="stop after this many instances"),
+            _Flag("--jobs", "jobs", low=1, high=MAX_JOBS, optional=True),
+            _FORMAT,
+        ),
     ),
     "lemma2": (
         "print a derivative-expansion table",
@@ -170,7 +167,6 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
             _FORMAT,
         ),
     ),
-    "bench": ("compare route costs over a grid (CSV)", _GRID_FLAGS),
 }
 
 
@@ -217,13 +213,11 @@ def parse_config(argv: list[str]) -> CliConfig:
             values[flag.field] = value if flag.read is int else flag.read(value)
         except ValueError as exc:
             raise UsageError(f"{flag.name}: {exc}") from None
-    if ns.subcommand == "bench":
-        values["format"] = "csv"
     return CliConfig(subcommand=ns.subcommand, **values)
 
 
 # Record keys whose value false means a route disagreed (exit status 1).
-_VERDICTS = ("all_equal", "routes_equal", "poly_equal")
+_VERDICTS = ("all_equal", "poly_equal")
 
 
 def _cell(key: str, value) -> str:
@@ -272,10 +266,9 @@ def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
     return _emit(out, cfg.format, [record])
 
 
-def _run_grid(cfg: CliConfig, out: IO[str]) -> int:
-    grid = sweep if cfg.subcommand == "sweep" else bench
-    rows = grid(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
-    return _emit(out, cfg.format, (row.to_json_dict() for row in rows))
+def _run_sweep(cfg: CliConfig, out: IO[str]) -> int:
+    reports = sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
+    return _emit(out, cfg.format, (report.to_json_dict() for report in reports))
 
 
 def _run_lemma2(cfg: CliConfig, out: IO[str]) -> int:
@@ -325,11 +318,10 @@ def _run_jseries(cfg: CliConfig, out: IO[str]) -> int:
 
 _RUNNERS = {
     "verify": _run_verify,
-    "sweep": _run_grid,
+    "sweep": _run_sweep,
     "lemma2": _run_lemma2,
     "lemma3": _run_lemma3,
     "jseries": _run_jseries,
-    "bench": _run_grid,
 }
 
 

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import Poly, _over_common_denominator, as_rational, binomial
 from .residues import (
@@ -54,7 +54,6 @@ __all__ = [
     "MAX_JOBS",
     "IdentityInstance",
     "VerificationReport",
-    "BenchRow",
     "compositions",
     "inner_sum",
     "lhs_direct",
@@ -66,8 +65,6 @@ __all__ = [
     "verify_poly_gamma",
     "iter_instances",
     "sweep",
-    "bench_instance",
-    "bench",
 ]
 
 
@@ -80,7 +77,7 @@ class CorrectionInvariantError(ArithmeticError):
     product relies on: constant term 1, degree at most 2s, even powers only."""
 
 
-# Upper bound on worker processes for ``sweep`` and ``bench``.
+# Upper bound on worker processes for ``sweep``.
 MAX_JOBS = 64
 
 
@@ -336,29 +333,8 @@ def rhs_closed(inst: IdentityInstance) -> Fraction:
 # verification
 
 
-class _Record:
-    """Serialization shared by the record dataclasses, derived from their
-    fields: ``instance`` expands to s, d, alpha, gamma, a Fraction becomes
-    its ``str``, and every other value passes through."""
-
-    def to_json_dict(self) -> dict:
-        record = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, IdentityInstance):
-                record["s"] = value.s
-                record["d"] = value.d
-                record["alpha"] = list(value.alpha)
-                record["gamma"] = [str(g) for g in value.gamma]
-            elif isinstance(value, Fraction):
-                record[f.name] = str(value)
-            else:
-                record[f.name] = value
-        return record
-
-
 @dataclass(frozen=True)
-class VerificationReport(_Record):
+class VerificationReport:
     """All four route values for one instance, plus timings and costs.
 
     Equality of the four values is the verdict; timings are wall-clock
@@ -379,6 +355,24 @@ class VerificationReport(_Record):
     direct_terms: int
     residue_ops: int
     product_ops: int
+
+    def to_json_dict(self) -> dict:
+        """The report as a record, derived from its fields: ``instance``
+        expands to s, d, alpha, gamma, a Fraction becomes its ``str``, and
+        every other value passes through."""
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, IdentityInstance):
+                record["s"] = value.s
+                record["d"] = value.d
+                record["alpha"] = list(value.alpha)
+                record["gamma"] = [str(g) for g in value.gamma]
+            elif isinstance(value, Fraction):
+                record[f.name] = str(value)
+            else:
+                record[f.name] = value
+        return record
 
 
 def verify(inst: IdentityInstance) -> VerificationReport:
@@ -515,7 +509,7 @@ def verify_poly_gamma(
 
 
 # ---------------------------------------------------------------------------
-# sweeping and benchmarking
+# sweeping
 
 
 def iter_instances(
@@ -550,30 +544,6 @@ def iter_instances(
                     yield IdentityInstance(s=s, alpha=alpha, gamma=gamma)
 
 
-def _grid(
-    route: Callable[[IdentityInstance], object],
-    max_s: int,
-    max_d: int,
-    gamma_set: Sequence,
-    cap: int | None,
-    jobs: int,
-) -> Iterator:
-    """``route`` over the instance grid, yielded in enumeration order.
-
-    With jobs > 1 the instances go to worker processes; ordered imap
-    keeps the output stream identical to the serial one.  A jobs value
-    outside 1..MAX_JOBS raises ValueError before any work starts.
-    """
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
-    instances = iter_instances(max_s, max_d, gamma_set, cap)
-    if jobs == 1:
-        yield from map(route, instances)
-        return
-    with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(route, instances, chunksize=32)
-
-
 def sweep(
     max_s: int,
     max_d: int,
@@ -583,56 +553,15 @@ def sweep(
 ) -> Iterator[VerificationReport]:
     """``verify`` over the instance grid, yielded in enumeration order.
 
-    1 ≤ jobs ≤ MAX_JOBS, else ValueError.  With jobs > 1 the instances
-    are verified in worker processes, and the stream is the same as the
-    serial one.
+    With jobs > 1 the instances go to worker processes; ordered imap
+    keeps the output stream identical to the serial one.  A jobs value
+    outside 1..MAX_JOBS raises ValueError before any work starts.
     """
-    return _grid(verify, max_s, max_d, gamma_set, cap, jobs)
-
-
-@dataclass(frozen=True)
-class BenchRow(_Record):
-    """Cost comparison of the direct and residue routes on one instance."""
-
-    instance: IdentityInstance
-    lhs_direct: Fraction
-    lhs_residue: Fraction
-    routes_equal: bool
-    direct_terms: int
-    residue_ops: int
-    time_direct_us: int
-    time_residue_us: int
-
-
-def bench_instance(inst: IdentityInstance) -> BenchRow:
-    """Time and count the two summation-flavored routes on one instance."""
-    t0 = time.perf_counter_ns()
-    direct, terms = _lhs_direct_counted(inst)
-    t1 = time.perf_counter_ns()
-    ops0 = coefficient_ops()
-    res = lhs_residue(inst)
-    ops1 = coefficient_ops()
-    t2 = time.perf_counter_ns()
-    return BenchRow(
-        instance=inst,
-        lhs_direct=direct,
-        lhs_residue=res,
-        routes_equal=(direct == res),
-        direct_terms=terms,
-        residue_ops=ops1 - ops0,
-        time_direct_us=(t1 - t0) // 1000,
-        time_residue_us=(t2 - t1) // 1000,
-    )
-
-
-def bench(
-    max_s: int,
-    max_d: int,
-    gamma_set: Sequence,
-    cap: int | None = None,
-    jobs: int = 1,
-) -> Iterator[BenchRow]:
-    """``bench_instance`` over the instance grid, in enumeration order
-    (which is already sorted by (s, d)).  1 ≤ jobs ≤ MAX_JOBS, else
-    ValueError; jobs > 1 runs worker processes as in ``sweep``."""
-    return _grid(bench_instance, max_s, max_d, gamma_set, cap, jobs)
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
+    instances = iter_instances(max_s, max_d, gamma_set, cap)
+    if jobs == 1:
+        yield from map(verify, instances)
+        return
+    with multiprocessing.Pool(processes=jobs) as pool:
+        yield from pool.imap(verify, instances, chunksize=32)

@@ -282,7 +282,9 @@ def test_criterion_7_randomized_property_suite():
 
 
 def test_criterion_8_bench_counters(capsys):
-    code = main(["bench", "--max-s", "6", "--max-d", "3", "--gamma-set", "0,1"])
+    code = main(
+        ["sweep", "--max-s", "6", "--max-d", "3", "--gamma-set", "0,1", "--format", "csv"]
+    )
     out = capsys.readouterr().out
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -295,13 +297,13 @@ def test_criterion_8_bench_counters(capsys):
     for row in rows:
         s, d = int(row["s"]), int(row["d"])
         expected = sum(math.comb(s - j + d, d) for j in range(s + 1))
-        if int(row["direct_terms"]) != expected or row["routes_equal"] != "true":
+        if int(row["direct_terms"]) != expected or row["all_equal"] != "true":
             counter_bad.append(row)
     ok = len(rows) == expected_rows and not counter_bad
     announce(
         8,
-        "bench over s<=6, d<=3, gammas {0,1}: direct-route term counters "
-        "match the composition-count formula",
+        "sweep over s<=6, d<=3, gammas {0,1}: all routes agree and the "
+        "direct-route term counters match the composition-count formula",
         ok,
         f"{len(rows)} instances",
     )

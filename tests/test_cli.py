@@ -52,7 +52,7 @@ def test_parse_verify_config():
         ["lemma2", "--alpha", "4", "--format", "json"],
         ["lemma3", "--max-s", "6", "--format", "csv"],
         ["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "json"],
-        ["bench", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1"],
+        ["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1", "--format", "csv"],
     ],
 )
 def test_config_round_trips_canonically(argv):
@@ -73,7 +73,7 @@ def test_parse_rejects_bad_vectors():
         parse_config(["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0", "--jobs", "0"])
 
 
-@pytest.mark.parametrize("sub", ["sweep", "bench"])
+@pytest.mark.parametrize("sub", ["sweep"])
 def test_parse_bounds_jobs(sub):
     base = [sub, "--max-s", "1", "--max-d", "1", "--gamma-set", "0"]
     cfg = parse_config(base + ["--jobs", str(identity.MAX_JOBS)])
@@ -98,9 +98,6 @@ def test_parser_is_built_once(monkeypatch):
         "lemma3 --max-s 6 --format csv": CliConfig("lemma3", format="csv", max_s=6),
         "jseries --alpha 3 --gamma 1/2 --order 5": CliConfig(
             "jseries", alpha_value=3, gamma_value=F(1, 2), order=5
-        ),
-        "bench --max-s 1 --max-d 1 --gamma-set 0,1": CliConfig(
-            "bench", format="csv", max_s=1, max_d=1, gamma_set=(F(0), F(1))
         ),
     }
     for argv, cfg in expected.items():
@@ -258,7 +255,16 @@ def test_missing_subcommand_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "verify" in out and "sweep" in out and "bench" in out
+    listed = re.search(r"\{([^}]*)\}", out).group(1)
+    assert listed.split(",") == ["verify", "sweep", "lemma2", "lemma3", "jseries"]
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    assert main(["bench", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: coeffident")
+    assert "invalid choice: 'bench'" in captured.err
 
 
 def help_text(capsys, argv):
@@ -267,8 +273,7 @@ def help_text(capsys, argv):
 
 
 def test_help_pages_explain_cap_and_lemma2_cost(capsys):
-    for grid in ("sweep", "bench"):
-        assert "--cap CAP stop after this many instances" in help_text(capsys, [grid, "--help"])
+    assert "--cap CAP stop after this many instances" in help_text(capsys, ["sweep", "--help"])
     assert "alpha^3 operations" in help_text(capsys, ["lemma2", "--help"])
 
 
@@ -421,28 +426,6 @@ def test_csv_rows_are_the_json_records(capsys, argv):
                 assert cell == csv_cell(key, record[key]), key
 
 
-# --- bench -----------------------------------------------------------------------------------
-
-
-def test_bench_csv_counters(capsys):
-    code, lines, _ = run_lines(
-        capsys, ["bench", "--max-s", "2", "--max-d", "1", "--gamma-set", "0,1"]
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
-    assert rows, "bench emitted no rows"
-    import math
-
-    for row in rows:
-        assert row["routes_equal"] == "true"
-        s, d = int(row["s"]), int(row["d"])
-        expected = sum(math.comb(s - j + d, d) for j in range(s + 1))
-        assert int(row["direct_terms"]) == expected
-    # sorted by (s, d)
-    keys = [(int(r["s"]), int(r["d"])) for r in rows]
-    assert keys == sorted(keys)
-
-
 # --- golden output ----------------------------------------------------------------------------
 #
 # Each argv's stdout, with the time_*_us values blanked, and exit status,
@@ -464,7 +447,7 @@ GOLDEN = [
     (["lemma3", "--max-s", "6", "--format", "json"], 0, "b1954a3fe9a20ba63647f9c7bef81aafb0487d555ce15ae281819b0c6bdb87fe"),
     (["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "json"], 0, "e76ac84bf4ee5a0fe33792988fe3a4e333bc3be56f33cd8f57ed9001578cc681"),
     (["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "csv"], 0, "75ca0f400d7e8fac67e9134c1404abf0b6f0f61b7cf1c2a036ad4d68e3a17295"),
-    (["bench", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1"], 0, "5a234782bec59f2d87c01f57091a0e93f8fc76be8e8d730316ef2e23e47da03a"),
+    (["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1", "--format", "csv"], 0, "f95e67c7bea57a6602d4cbc8ab387bc1e6dad8bcc7eada74e2e3833136f732d5"),
     (["verify", "--s", "2", "--alpha", "1,3,1", "--gamma=-1/2,0,3", "--poly-gamma", "1"], 0, "f2040d0ccbe5da9c1bdc4372e013960525605cd18dba82a683e6e2cf1b915096"),
     (["verify", "--s", "2", "--alpha", "1,3,1", "--gamma=-1/2,0,3", "--poly-gamma", "1", "--format", "csv"], 0, "3f5f1390dd8bb8e82a62194818f31606e4f0b393429014889035636aa46d9668"),
     (["lemma2", "--alpha", "0"], 0, "22f99d7842f820fe242938038328bae34957aea54b14280f770efd11bf1a3adb"),

@@ -29,8 +29,6 @@ from coeffident.identity import (
     CorrectionInvariantError,
     IdentityInstance,
     InvalidInstance,
-    bench,
-    bench_instance,
     compositions,
     correction_polynomial,
     inner_sum,
@@ -339,21 +337,31 @@ def test_rational_gamma_stress_instance():
 
 
 def test_verify_report_metadata():
-    report = verify(SPOT)
-    assert report.instance is SPOT
-    assert report.all_equal
-    assert report.direct_terms == 3  # compositions of 1 and of 0 into 2 parts
-    assert report.residue_ops > 0
-    assert report.product_ops > 0
-    assert all(
-        t >= 0
-        for t in (
-            report.time_direct_us,
-            report.time_residue_us,
-            report.time_product_us,
-            report.time_rhs_us,
+    # SPOT, then one instance per (s, d) with a single nonzero alpha
+    cases = [SPOT] + [
+        IdentityInstance(s=s, alpha=(2 * s + 1,) + (0,) * d, gamma=(F(1),) * (d + 1))
+        for s, d in [(0, 0), (1, 1), (2, 2), (3, 1)]
+    ]
+    for inst in cases:
+        report = verify(inst)
+        assert report.instance is inst
+        assert report.all_equal
+        s, d = inst.s, inst.d
+        # compositions of s - j into d + 1 parts, summed over j
+        expected_terms = sum(math.comb(s - j + d, d) for j in range(s + 1))
+        assert report.direct_terms == expected_terms
+        assert expected_terms == math.comb(s + d + 1, d + 1)  # hockey stick
+        assert report.residue_ops > 0
+        assert report.product_ops > 0
+        assert all(
+            t >= 0
+            for t in (
+                report.time_direct_us,
+                report.time_residue_us,
+                report.time_product_us,
+                report.time_rhs_us,
+            )
         )
-    )
 
 
 def emitted_csv(record):
@@ -580,7 +588,7 @@ def test_poly_gamma_enumerates_the_other_coordinates_once(monkeypatch, alpha, co
     assert yielded == sum(math.comb(m + d - 1, d - 1) for m in range(inst.s + 1))
 
 
-# --- enumeration, sweep, bench -----------------------------------------------------------
+# --- enumeration, sweep -----------------------------------------------------------------
 
 
 def test_iter_instances_order_and_counts():
@@ -640,33 +648,8 @@ def test_sweep_parallel_matches_serial():
     assert parallel == serial
 
 
-@pytest.mark.parametrize("runner", [sweep, bench])
+@pytest.mark.parametrize("runner", [sweep])
 def test_jobs_bound_checked_before_any_worker(runner):
     for jobs in (MAX_JOBS + 1, 0, -1):
         with pytest.raises(ValueError, match="MAX_JOBS"):
             next(runner(0, 0, (0,), jobs=jobs))
-
-
-def test_bench_instance_counters():
-    for s, d in [(0, 0), (1, 1), (2, 2), (3, 1)]:
-        alpha = (2 * s + 1,) + (0,) * d
-        inst = IdentityInstance(s=s, alpha=alpha, gamma=(F(1),) * (d + 1))
-        row = bench_instance(inst)
-        assert row.routes_equal
-        expected_terms = sum(math.comb(s - j + d, d) for j in range(s + 1))
-        assert row.direct_terms == expected_terms
-        assert expected_terms == math.comb(s + d + 1, d + 1)  # hockey stick
-
-
-def test_bench_row_serialization():
-    row = bench_instance(SPOT)
-    d = row.to_json_dict()
-    assert list(d) == [
-        "s", "d", "alpha", "gamma", "lhs_direct", "lhs_residue", "routes_equal",
-        "direct_terms", "residue_ops", "time_direct_us", "time_residue_us",
-    ]
-    assert d["routes_equal"] is True
-    assert json.loads(json.dumps(d)) == d
-    header, cells = emitted_csv(d)
-    assert header == list(d)
-    assert cells[:8] == ["1", "1", "1,2", "0,0", "4", "4", "true", "3"]
