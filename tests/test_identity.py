@@ -337,31 +337,35 @@ def test_rational_gamma_stress_instance():
 
 
 def test_verify_report_metadata():
-    # SPOT, then one instance per (s, d) with a single nonzero alpha
-    cases = [SPOT] + [
-        IdentityInstance(s=s, alpha=(2 * s + 1,) + (0,) * d, gamma=(F(1),) * (d + 1))
-        for s, d in [(0, 0), (1, 1), (2, 2), (3, 1)]
-    ]
-    for inst in cases:
+    report = verify(SPOT)
+    assert report.instance is SPOT
+    assert report.all_equal
+    assert report.direct_terms == 3  # compositions of 1 and of 0 into 2 parts
+    assert report.residue_ops > 0
+    assert report.product_ops > 0
+    assert all(
+        t >= 0
+        for t in (
+            report.time_direct_us,
+            report.time_residue_us,
+            report.time_product_us,
+            report.time_rhs_us,
+        )
+    )
+
+
+def test_bench_instance_counters():
+    # the per-route cost counters a CSV sweep reports, one instance per (s, d)
+    for s, d in [(0, 0), (1, 1), (2, 2), (3, 1)]:
+        alpha = (2 * s + 1,) + (0,) * d
+        inst = IdentityInstance(s=s, alpha=alpha, gamma=(F(1),) * (d + 1))
         report = verify(inst)
-        assert report.instance is inst
         assert report.all_equal
-        s, d = inst.s, inst.d
-        # compositions of s - j into d + 1 parts, summed over j
         expected_terms = sum(math.comb(s - j + d, d) for j in range(s + 1))
         assert report.direct_terms == expected_terms
         assert expected_terms == math.comb(s + d + 1, d + 1)  # hockey stick
         assert report.residue_ops > 0
         assert report.product_ops > 0
-        assert all(
-            t >= 0
-            for t in (
-                report.time_direct_us,
-                report.time_residue_us,
-                report.time_product_us,
-                report.time_rhs_us,
-            )
-        )
 
 
 def emitted_csv(record):
