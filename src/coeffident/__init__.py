@@ -28,7 +28,6 @@ from .series import (
     nested_exp_core,
     rational_power,
     residue,
-    sinh_t_series,
 )
 from .residues import (
     DerivativeTable,
@@ -72,7 +71,6 @@ __all__ = [
     "residue",
     "rational_power",
     "nested_exp_core",
-    "sinh_t_series",
     "coefficient_ops",
     "NonUnitSeries",
     "IrrationalScalarPower",

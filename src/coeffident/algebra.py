@@ -26,7 +26,7 @@ __all__ = [
 Scalar = Union[int, Fraction]
 _SCALARS = (int, Fraction)
 
-_RATIONAL_PATTERN = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_PATTERN = re.compile(r"^-?\d+(?:/\d+)?$", re.ASCII)
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -55,7 +55,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational in canonical ``p/q`` (or plain ``p``) form.
 
     A leading ASCII hyphen or U+2212 minus sign is accepted; whitespace is
-    trimmed.  Decimal points, exponents, and embedded spaces are rejected.
+    trimmed.  Digits are ASCII only.  Decimal points, exponents, and
+    embedded spaces are rejected.
     """
     normalized = text.strip().replace("−", "-")
     if not _RATIONAL_PATTERN.match(normalized):
@@ -181,26 +182,6 @@ class Poly:
         return Poly(out, self.var)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * (1 / as_rational(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("polynomial powers must be integers")
-        if n < 0:
-            raise ValueError("polynomial powers must be >= 0")
-        result = Poly((1,), self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __call__(self, x):
         """Horner evaluation; the argument may be any ring element."""

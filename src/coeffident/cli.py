@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +46,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Parsed, validated invocation.  ``to_argv`` is its canonical form:
-    ``parse_config(cfg.to_argv()) == cfg`` for every valid config."""
+    """Parsed, validated invocation."""
 
     subcommand: str
     format: str = "json"
@@ -63,31 +63,30 @@ class CliConfig:
     gamma_value: Fraction = Fraction(0)
     order: int = 0
 
-    def to_argv(self) -> list[str]:
-        # --name=value throughout: a rational value may start with "-",
-        # which argparse would read as a flag
-        args = [self.subcommand]
-        for flag in _COMMANDS[self.subcommand][1]:
-            value = getattr(self, flag.field)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            if value is not None:
-                args.append(f"{flag.name}={value}")
-        return args
+
+_INTEGER_PATTERN = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An ASCII decimal integer, optionally negative; whitespace is trimmed.
+    Plain ``int`` would also take "+1", "1_0" and non-ASCII digits."""
+    if not _INTEGER_PATTERN.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 class _Flag(NamedTuple):
     """One flag of one subcommand.
 
-    ``read`` turns its text into the ``field`` value.  An ``int`` flag is
-    read by argparse itself, which reports bad text with the usage line;
-    any other reader runs after argparse, and its ValueError becomes a
-    UsageError.  An ``int`` value must keep ``low <= value <= high``.  An
+    ``read`` turns its text into the ``field`` value.  An ``_integer``
+    flag is read by argparse itself, which reports bad text with the usage
+    line; any other reader runs after argparse, and its error becomes a
+    UsageError.  An integer value must keep ``low <= value <= high``.  An
     optional flag that is not given leaves the ``CliConfig`` default."""
 
     name: str
     field: str
-    read: Callable[[str], Any] = int
+    read: Callable[[str], Any] = _integer
     low: int | None = None
     high: int | None = None
     help: str | None = None
@@ -102,7 +101,7 @@ class _Flag(NamedTuple):
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(piece) for piece in text.split(","))
+    return tuple(_integer(piece) for piece in text.split(","))
 
 
 def _rationals(text: str) -> tuple[Fraction, ...]:
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(
                 flag.name,
-                type=int if flag.read is int else None,
+                type=_integer if flag.read is _integer else None,
                 required=not flag.optional,
                 help=flag.help,
                 metavar=flag.metavar,
@@ -210,8 +209,8 @@ def parse_config(argv: list[str]) -> CliConfig:
     values = {}
     for flag, value in given:
         try:
-            values[flag.field] = value if flag.read is int else flag.read(value)
-        except ValueError as exc:
+            values[flag.field] = value if flag.read is _integer else flag.read(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{flag.name}: {exc}") from None
     return CliConfig(subcommand=ns.subcommand, **values)
 
@@ -310,7 +309,7 @@ def _run_jseries(cfg: CliConfig, out: IO[str]) -> int:
         "alpha": cfg.alpha_value,
         "gamma": str(cfg.gamma_value),
         "order": cfg.order,
-        "variable": series.var,
+        "variable": "t",
         "coefficients": [str(c) for c in series.coeffs],
     }
     return _emit(out, cfg.format, [record])

@@ -1,6 +1,6 @@
 """Truncated formal power series with exact rational coefficients.
 
-``TSeries`` is a series in one variable cut off after an explicit order;
+``TSeries`` is a series in t cut off after an explicit order;
 the coefficient tuple always has length order + 1 with zeros kept, so the
 order is part of the value.  ``NestedSeries`` is a series in an outer
 variable w whose coefficients are ``TSeries`` in an inner variable t --
@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .algebra import _over_common_denominator, as_rational
+from .algebra import _SCALARS, Scalar, _over_common_denominator, as_rational
 
 __all__ = [
     "NonUnitSeries",
@@ -31,13 +31,8 @@ __all__ = [
     "residue",
     "rational_power",
     "nested_exp_core",
-    "sinh_t_series",
     "coefficient_ops",
 ]
-
-Scalar = Union[int, Fraction]
-_SCALARS = (int, Fraction)
-
 
 class NonUnitSeries(ArithmeticError):
     """A series whose constant term must be invertible has constant term 0."""
@@ -109,14 +104,13 @@ class TSeries:
     """Series sum_k c_k x**k truncated after x**order.
 
     Arithmetic between series of different orders truncates to the
-    shorter one (the longer tail would be unreliable anyway).  Arithmetic
-    between different variable tags is refused.  Instances are immutable
-    in practice and hashable.
+    shorter one (the longer tail would be unreliable anyway).  Instances
+    are immutable in practice and hashable.
     """
 
-    __slots__ = ("coeffs", "order", "var")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None, var: str = "t"):
+    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         cs = [as_rational(c) for c in coeffs]
         if order is None:
             if not cs:
@@ -130,58 +124,43 @@ class TSeries:
             del cs[order + 1 :]
         self.coeffs = tuple(cs)
         self.order = order
-        self.var = var
 
     @classmethod
-    def constant(cls, value: Scalar, order: int, var: str = "t") -> "TSeries":
-        return cls((value,), order, var)
+    def constant(cls, value: Scalar, order: int) -> "TSeries":
+        return cls((value,), order)
 
     @classmethod
-    def one(cls, order: int, var: str = "t") -> "TSeries":
-        return cls.constant(1, order, var)
-
-    def truncate(self, order: int) -> "TSeries":
-        """The same series cut down to a smaller (or equal) order."""
-        if order > self.order:
-            raise TruncationExceeded(
-                f"cannot extend order {self.order} to {order}: tail unknown"
-            )
-        return TSeries(self.coeffs[: order + 1], order, self.var)
+    def one(cls, order: int) -> "TSeries":
+        return cls.constant(1, order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check_compatible(self, other: "TSeries") -> None:
-        if self.var != other.var:
-            raise ValueError(f"series variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if isinstance(other, _SCALARS):
             head = (self.coeffs[0] + as_rational(other),) + self.coeffs[1:]
-            return TSeries(head, self.order, self.var)
+            return TSeries(head, self.order)
         if not isinstance(other, TSeries):
             return NotImplemented
-        self._check_compatible(other)
         n = min(self.order, other.order)
         return TSeries(
-            (self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), n, self.var
+            (self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), n
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries((-c for c in self.coeffs), self.order, self.var)
+        return TSeries((-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
             head = (self.coeffs[0] - as_rational(other),) + self.coeffs[1:]
-            return TSeries(head, self.order, self.var)
+            return TSeries(head, self.order)
         if not isinstance(other, TSeries):
             return NotImplemented
-        self._check_compatible(other)
         n = min(self.order, other.order)
         return TSeries(
-            (self.coeffs[k] - other.coeffs[k] for k in range(n + 1)), n, self.var
+            (self.coeffs[k] - other.coeffs[k] for k in range(n + 1)), n
         )
 
     def __rsub__(self, other):
@@ -192,14 +171,13 @@ class TSeries:
     def scale(self, factor: Scalar) -> "TSeries":
         c = as_rational(factor)
         _OPS.count += self.order + 1
-        return TSeries((c * a for a in self.coeffs), self.order, self.var)
+        return TSeries((c * a for a in self.coeffs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, TSeries):
             return NotImplemented
-        self._check_compatible(other)
         n = min(self.order, other.order)
         a, da = _over_common_denominator(self.coeffs[: n + 1])
         b, db = _over_common_denominator(other.coeffs[: n + 1])
@@ -210,14 +188,9 @@ class TSeries:
             for k in range(n + 1)
         ]
         _OPS.count += (n + 1) * (n + 2) // 2
-        return TSeries(out, n, self.var)
+        return TSeries(out, n)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(1 / as_rational(other))
-        return NotImplemented
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse to the same order, by the usual recursion."""
@@ -232,14 +205,14 @@ class TSeries:
             )
             out.append(-inv0 * tail)
         _OPS.count += self.order * (self.order + 1) // 2 + self.order + 1
-        return TSeries(out, self.order, self.var)
+        return TSeries(out, self.order)
 
     def __pow__(self, n: int) -> "TSeries":
         if not isinstance(n, int):
             raise TypeError("use pow_rational for fractional exponents")
         if n < 0:
             return self.inverse() ** (-n)
-        result = TSeries.one(self.order, self.var)
+        result = TSeries.one(self.order)
         base = self
         while n:
             if n & 1:
@@ -264,34 +237,33 @@ class TSeries:
             raise NonUnitSeries("pow_rational needs a nonzero constant term")
         lead = rational_power(u, r)
         v = self.scale(1 / u) - 1
-        result = TSeries.one(self.order, self.var)
-        vpow = TSeries.one(self.order, self.var)
-        coef = Fraction(1)
-        for n in range(1, self.order + 1):
-            coef = coef * (r - (n - 1)) / n
-            if coef == 0:
-                break  # nonnegative integer exponent: expansion ends early
-            vpow = vpow * v
-            result = result + vpow.scale(coef)
-        return result.scale(lead)
+        return _one_plus_power(TSeries.one(self.order), v, r, self.order).scale(lead)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
+        return hash((self.order, self.coeffs))
 
     def __repr__(self):
-        return (
-            f"TSeries({[str(c) for c in self.coeffs]}, "
-            f"order={self.order}, var={self.var!r})"
-        )
+        return f"TSeries({[str(c) for c in self.coeffs]}, order={self.order})"
+
+
+def _one_plus_power(one, v, r: Fraction, order: int):
+    """(1 + v)**r as sum_n C(r, n) v**n, for a series v without constant
+    term, so v**n vanishes past the truncation ``order``; ``one`` is the
+    unit series of v's kind."""
+    result = vpow = one
+    coef = Fraction(1)
+    for n in range(1, order + 1):
+        coef = coef * (r - (n - 1)) / n
+        if coef == 0:
+            break  # nonnegative integer exponent: expansion ends early
+        vpow = vpow * v
+        result = result + vpow.scale(coef)
+    return result
 
 
 def residue(series: TSeries, m: int) -> Fraction:
@@ -310,7 +282,7 @@ def residue(series: TSeries, m: int) -> Fraction:
 
 
 @_memoized(maxsize=256)
-def binomial_series(c: Scalar, r: Scalar, order: int, var: str = "t") -> TSeries:
+def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
     """The expansion of (1 + c*x)**r to the given order, r any rational.
 
     Coefficients come from the incremental ratio binom(r, n+1)/binom(r, n)
@@ -327,7 +299,7 @@ def binomial_series(c: Scalar, r: Scalar, order: int, var: str = "t") -> TSeries
         coef = coef * cc * (rr - n) / (n + 1)
         coeffs.append(coef)
     _OPS.count += 2 * order
-    return TSeries(coeffs, order, var)
+    return TSeries(coeffs, order)
 
 
 def rational_power(base: Scalar, exponent: Scalar) -> Fraction:
@@ -380,7 +352,7 @@ class NestedSeries:
     The outer variable (w) is always resolved first: ``coefficient(k)``
     hands back an ordinary TSeries in the inner variable, and nothing
     done to the nested series afterwards can reach into it.  All inner
-    series must share one variable tag and one truncation order.
+    series must share one truncation order.
     """
 
     __slots__ = ("coeffs", "w_order", "t_order")
@@ -390,16 +362,14 @@ class NestedSeries:
         if not rows:
             raise ValueError("a nested series needs at least the w**0 coefficient")
         t_order = rows[0].order
-        var = rows[0].var
-        for row in rows:
-            if row.order != t_order or row.var != var:
-                raise ValueError("all inner series must share order and variable")
+        if any(row.order != t_order for row in rows):
+            raise ValueError("all inner series must share one truncation order")
         if w_order is None:
             w_order = len(rows) - 1
         if w_order < 0:
             raise ValueError("outer truncation order must be >= 0")
         if len(rows) <= w_order:
-            zero = TSeries.constant(0, t_order, var)
+            zero = TSeries.constant(0, t_order)
             rows.extend([zero] * (w_order + 1 - len(rows)))
         else:
             del rows[w_order + 1 :]
@@ -408,14 +378,13 @@ class NestedSeries:
         self.t_order = t_order
 
     @classmethod
-    def one(cls, t_order: int, w_order: int, var: str = "t") -> "NestedSeries":
-        rows = [TSeries.one(t_order, var)]
-        return cls(rows, w_order)
+    def one(cls, t_order: int, w_order: int) -> "NestedSeries":
+        return cls([TSeries.one(t_order)], w_order)
 
     def coefficient(self, k: int) -> TSeries:
         """The w**k coefficient; negative k is zero, past w_order unknown."""
         if k < 0:
-            return TSeries.constant(0, self.t_order, self.coeffs[0].var)
+            return TSeries.constant(0, self.t_order)
         if k > self.w_order:
             raise TruncationExceeded(
                 f"w-coefficient {k} lies beyond truncation order {self.w_order}"
@@ -438,9 +407,6 @@ class NestedSeries:
             [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n
         )
 
-    def __neg__(self):
-        return NestedSeries([-row for row in self.coeffs], self.w_order)
-
     def scale(self, factor) -> "NestedSeries":
         """Multiply every w-coefficient by a scalar or by a TSeries in t."""
         if isinstance(factor, TSeries):
@@ -456,10 +422,9 @@ class NestedSeries:
             return NotImplemented
         n = min(self.w_order, other.w_order)
         t_order = min(self.t_order, other.t_order)
-        var = self.coeffs[0].var
         rows = []
         for k in range(n + 1):
-            acc = TSeries.constant(0, t_order, var)
+            acc = TSeries.constant(0, t_order)
             for i in range(k + 1):
                 acc = acc + self.coeffs[i] * other.coeffs[k - i]
             rows.append(acc)
@@ -479,19 +444,9 @@ class NestedSeries:
         if u.coeffs[0] == 0:
             raise NonUnitSeries("the w**0 coefficient is not a unit series")
         lead = u.pow_rational(r)
-        v = self.scale(u.inverse()) - NestedSeries.one(
-            self.t_order, self.w_order, self.coeffs[0].var
-        )
-        result = NestedSeries.one(self.t_order, self.w_order, self.coeffs[0].var)
-        vpow = NestedSeries.one(self.t_order, self.w_order, self.coeffs[0].var)
-        coef = Fraction(1)
-        for n in range(1, self.w_order + 1):
-            coef = coef * (r - (n - 1)) / n
-            if coef == 0:
-                break
-            vpow = vpow * v
-            result = result + vpow.scale(coef)
-        return result.scale(lead)
+        one = NestedSeries.one(self.t_order, self.w_order)
+        v = self.scale(u.inverse()) - one
+        return _one_plus_power(one, v, r, self.w_order).scale(lead)
 
     def __eq__(self, other):
         if not isinstance(other, NestedSeries):
@@ -523,20 +478,3 @@ def nested_exp_core(gamma: Scalar, t_order: int, w_order: int) -> NestedSeries:
         rows.append(TSeries((sign * inv_fact, -inv_fact), t_order))
     core = NestedSeries(rows, w_order)
     return core.pow_rational(-1 - g)
-
-
-def sinh_t_series(t_order: int, w_order: int) -> NestedSeries:
-    """The deformed hyperbolic sine (exp(-w) - t*exp(w)) / 2, bivariately.
-
-    At t = 1 the w**odd coefficients are -1/n! and the even ones vanish,
-    recovering -sinh(w); the t-deformation keeps the w**0 coefficient a
-    unit so negative powers exist as series.
-    """
-    rows = []
-    inv_fact = Fraction(1)
-    for n in range(w_order + 1):
-        if n:
-            inv_fact /= n
-        sign = 1 if n % 2 == 0 else -1
-        rows.append(TSeries((sign * inv_fact / 2, -inv_fact / 2), t_order))
-    return NestedSeries(rows, w_order)

@@ -42,24 +42,6 @@ def test_parse_verify_config():
     assert cfg.format == "json"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"],
-        ["verify", "--s", "2", "--alpha", "5", "--gamma=-7/3", "--poly-gamma", "0", "--format", "csv"],
-        ["sweep", "--max-s", "2", "--max-d", "1", "--gamma-set", "0,1,1/2", "--cap", "50", "--jobs", "2", "--format", "csv"],
-        ["sweep", "--max-s", "0", "--max-d", "0", "--gamma-set=-1/2", "--jobs", "1", "--format", "json"],
-        ["lemma2", "--alpha", "4", "--format", "json"],
-        ["lemma3", "--max-s", "6", "--format", "csv"],
-        ["jseries", "--alpha", "3", "--gamma", "1/2", "--order", "5", "--format", "json"],
-        ["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1", "--format", "csv"],
-    ],
-)
-def test_config_round_trips_canonically(argv):
-    cfg = parse_config(argv)
-    assert parse_config(cfg.to_argv()) == cfg
-
-
 def test_parse_rejects_bad_vectors():
     with pytest.raises(UsageError):
         parse_config(["verify", "--s", "1", "--alpha", "1,x", "--gamma", "0,0"])
@@ -98,6 +80,18 @@ def test_parser_is_built_once(monkeypatch):
         "lemma3 --max-s 6 --format csv": CliConfig("lemma3", format="csv", max_s=6),
         "jseries --alpha 3 --gamma 1/2 --order 5": CliConfig(
             "jseries", alpha_value=3, gamma_value=F(1, 2), order=5
+        ),
+        # the --flag=value form, integer flags included
+        "verify --s=2 --alpha=1,3,1 --gamma=-1/2,0,3 --poly-gamma=1 --format=json": CliConfig(
+            "verify", s=2, alpha=(1, 3, 1), gamma=(F(-1, 2), F(0), F(3)), poly_gamma=1
+        ),
+        "sweep --max-s=1 --max-d=2 --gamma-set=0,-1/3 --cap=40 --jobs=2": CliConfig(
+            "sweep", jobs=2, max_s=1, max_d=2, gamma_set=(F(0), F(-1, 3)), cap=40
+        ),
+        "lemma2 --alpha=7 --format=csv": CliConfig("lemma2", format="csv", alpha_value=7),
+        "lemma3 --max-s=3": CliConfig("lemma3", max_s=3),
+        "jseries --alpha=2 --gamma=-1/3 --order=4": CliConfig(
+            "jseries", alpha_value=2, gamma_value=F(-1, 3), order=4
         ),
     }
     for argv, cfg in expected.items():
@@ -181,6 +175,21 @@ def test_verify_malformed_rational(capsys):
     )
     assert code == 2
     assert "denominator" in err
+    # numbers are spelled in ASCII digits with an optional "-": no "_"
+    # separator, no "+" sign and no other script's digits, for integer
+    # flags, integer vectors and rationals alike
+    misspelled = [
+        (["verify", "--s", "5", "--alpha", "1_0,1", "--gamma", "0,0"], "--alpha"),
+        (["verify", "--s", "١", "--alpha", "1,2", "--gamma", "0,0"], "--s"),
+        (["verify", "--s", "0", "--alpha", "1", "--gamma", "３/４"], "--gamma"),
+        (["verify", "--s", "1", "--alpha=+1,2", "--gamma", "0,0"], "--alpha"),
+        (["verify", "--s=+1", "--alpha", "1,2", "--gamma", "0,0"], "--s"),
+        (["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0", "--poly-gamma", "0_1"], "--poly-gamma"),
+    ]
+    for argv, flag in misspelled:
+        code, lines, err = run_lines(capsys, argv)
+        assert (code, lines) == (2, []), argv
+        assert flag + ":" in err, argv
 
 
 def test_verify_poly_gamma_out_of_range(capsys):
