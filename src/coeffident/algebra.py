@@ -124,9 +124,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k, zero beyond the degree."""
         if 0 <= k < len(self.coeffs):
@@ -160,11 +157,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return Poly((other,), self.var) - self
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):

@@ -260,6 +260,38 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
 # reduced-product route
 
 
+def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
+    """The correction polynomial as integer numerators of u**0, u**1, ...
+    (trailing zeros stripped) over one positive denominator.
+
+    Each coordinate contributes 1 + sum_k weight_k u**(2k), k = 1..alpha_i//2,
+    brought to numerators over the lowest common denominator of its
+    weights; the factors are multiplied by integer convolution, and the
+    denominators multiply.
+    """
+    nums, den = [1], 1
+    for a, g in zip(inst.alpha, inst.gamma):
+        half = a // 2
+        if half == 0:
+            continue
+        wnums, wden = _over_common_denominator(
+            [correction_weight(a, k, g) for k in range(1, half + 1)]
+        )
+        factor = [0] * (2 * half + 1)
+        factor[0] = wden
+        factor[2::2] = wnums
+        product = [0] * (len(nums) + 2 * half)
+        for i, x in enumerate(nums):
+            if x:
+                for j, y in enumerate(factor):
+                    product[i + j] += x * y
+        nums = product
+        den *= wden
+    while nums and not nums[-1]:
+        nums.pop()
+    return nums, den
+
+
 def correction_polynomial(inst: IdentityInstance) -> Poly:
     """Product of the per-coordinate correction factors, in u = (1-t)/(1+t).
 
@@ -268,17 +300,8 @@ def correction_polynomial(inst: IdentityInstance) -> Poly:
     has degree at most 2 * sum(alpha_i//2) <= 2s.  Its constant term
     is exactly 1.
     """
-    lam = Poly((1,), var="u")
-    for a, g in zip(inst.alpha, inst.gamma):
-        half = a // 2
-        if half == 0:
-            continue
-        coeffs = [Fraction(0)] * (2 * half + 1)
-        coeffs[0] = Fraction(1)
-        for k in range(1, half + 1):
-            coeffs[2 * k] = correction_weight(a, k, g)
-        lam = lam * Poly(coeffs, var="u")
-    return lam
+    nums, den = _correction_numerators(inst)
+    return Poly((Fraction(n, den) for n in nums), var="u")
 
 
 def lhs_product(inst: IdentityInstance) -> Fraction:
@@ -288,31 +311,36 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     factors sum to -1 and the (1+t) exponents to 2s+1, so the extraction
     collapses to scalar residues: the base one (worth 4**s) plus the
     even-index corrections weighted by the correction polynomial.  The
-    binomial prefactors come out in front.
+    binomial prefactors come out in front.  The correction polynomial's
+    invariants are checked, and the sum is taken, on its integer
+    numerators; the result is the one Fraction made.
     """
-    lam = correction_polynomial(inst)
-    if lam.coefficient(0) != 1:
+    nums, den = _correction_numerators(inst)
+    degree = len(nums) - 1
+    constant = nums[0] if nums else 0
+    if constant != den:
         raise CorrectionInvariantError(
-            f"correction polynomial has constant term {lam.coefficient(0)}, not 1"
+            f"correction polynomial has constant term {Fraction(constant, den)}, not 1"
         )
-    if lam.degree > 2 * inst.s:
+    if degree > 2 * inst.s:
         raise CorrectionInvariantError(
-            f"correction polynomial has degree {lam.degree} above 2s = {2 * inst.s}"
+            f"correction polynomial has degree {degree} above 2s = {2 * inst.s}"
         )
-    odd = [k for k in range(1, lam.degree + 1, 2) if lam.coefficient(k)]
+    odd = [k for k in range(1, degree + 1, 2) if nums[k]]
     if odd:
         raise CorrectionInvariantError(
             f"correction polynomial has nonzero odd powers of u: {odd}"
         )
-    total = base_t_residue(inst.s)
-    for k in range(2, lam.degree + 1, 2):
-        weight = lam.coefficient(k)
-        if weight:
-            total += weight * correction_t_residue(inst.s, k)
-    lead = Fraction(1)
-    for a, g in zip(inst.alpha, inst.gamma):
-        lead *= _leading_binomial(a, g)
-    return lead * total
+    weights = [den]
+    residues = [base_t_residue(inst.s)]
+    for k in range(2, degree + 1, 2):
+        if nums[k]:
+            weights.append(nums[k])
+            residues.append(correction_t_residue(inst.s, k))
+    rnums, rden = _over_common_denominator(residues)
+    lead_num, lead_den = _leading_product(inst)
+    total = sum(map(operator.mul, weights, rnums))
+    return Fraction(total * lead_num, den * rden * lead_den)
 
 
 @lru_cache(maxsize=256)
@@ -321,12 +349,28 @@ def _leading_binomial(alpha_i: int, gamma_i: Fraction) -> Fraction:
     return binomial(gamma_i + alpha_i, alpha_i)
 
 
+def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
+    """prod_i C(gamma_i + alpha_i, alpha_i) as an integer numerator and
+    denominator (not reduced)."""
+    num = den = 1
+    for a, g in zip(inst.alpha, inst.gamma):
+        lead = _leading_binomial(a, g)
+        num *= lead.numerator
+        den *= lead.denominator
+    return num, den
+
+
 def rhs_closed(inst: IdentityInstance) -> Fraction:
     """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i)."""
-    acc = Fraction(4) ** inst.s
-    for a, g in zip(inst.alpha, inst.gamma):
-        acc *= _leading_binomial(a, g)
-    return acc
+    num, den = _leading_product(inst)
+    return Fraction(4**inst.s * num, den)
+
+
+@lru_cache(maxsize=256)
+def _binomial_poly(alpha_c: int) -> Poly:
+    """C(x + alpha_c, alpha_c) as a polynomial in x (``verify_poly_gamma``'s
+    right side, up to a constant)."""
+    return binomial(Poly.indeterminate() + alpha_c, alpha_c)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +548,7 @@ def verify_poly_gamma(
     for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
         if i != coordinate:
             const *= _leading_binomial(a, g)
-    rhs = Poly((const,)) * binomial(Poly.indeterminate() + alpha_c, alpha_c)
+    rhs = Poly((const,)) * _binomial_poly(alpha_c)
     return lhs, rhs, lhs == rhs
 
 

@@ -67,8 +67,20 @@ class DerivativeTable:
     entries: tuple[Poly, ...]
 
     def weight(self, k: int, value) -> Fraction:
-        """entries[k] evaluated at a rational, normalized by alpha!."""
-        return self.entries[k](as_rational(value)) / math.factorial(self.alpha)
+        """entries[k] evaluated at a rational, normalized by alpha!.
+
+        The row has integer coefficients, so at value = p/q Horner's
+        scheme runs in ints: after the row's n + 1 coefficients, num is
+        q**n * entries[k](p/q) and scale is q**(n + 1).  The one Fraction
+        is the result.
+        """
+        x = as_rational(value)
+        p, q = x.numerator, x.denominator
+        num, scale = 0, 1
+        for c in reversed(self.entries[k].coeffs):
+            num = num * p + c.numerator * scale
+            scale *= q
+        return Fraction(num * q, scale * math.factorial(self.alpha))
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Truncated formal power series with exact rational coefficients.
 
-``TSeries`` is a series in t cut off after an explicit order;
-the coefficient tuple always has length order + 1 with zeros kept, so the
+``TSeries`` is a series in t cut off after an explicit order, held as
+order + 1 integer numerators (zeros kept) over one denominator, so the
 order is part of the value.  ``NestedSeries`` is a series in an outer
 variable w whose coefficients are ``TSeries`` in an inner variable t --
 just enough bivariate structure to expand integrand cores of the shape
@@ -15,6 +15,7 @@ multiplications so callers can report what a computation cost.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -103,12 +104,17 @@ def _memoized(maxsize: int):
 class TSeries:
     """Series sum_k c_k x**k truncated after x**order.
 
+    The coefficients are stored as integer numerators ``nums`` (one per
+    power, zeros kept) over one positive denominator ``den``, reduced so
+    that gcd(den, *nums) == 1; equal series therefore have equal
+    ``(order, nums, den)``.  ``coeffs``, the tuple of ``Fraction``
+    coefficients, is derived from that form when something reads it.
     Arithmetic between series of different orders truncates to the
     shorter one (the longer tail would be unreliable anyway).  Instances
     are immutable in practice and hashable.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("order", "nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         cs = [as_rational(c) for c in coeffs]
@@ -122,8 +128,36 @@ class TSeries:
             cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         else:
             del cs[order + 1 :]
-        self.coeffs = tuple(cs)
+        # over the lowest common denominator the numerators are already
+        # coprime to it, so no reduction is needed
+        nums, den = _over_common_denominator(cs)
         self.order = order
+        self.nums = tuple(nums)
+        self.den = den
+        self._coeffs = None
+
+    @classmethod
+    def _reduced(cls, nums: Sequence[int], den: int, order: int) -> "TSeries":
+        """The series sum_k nums[k]/den x**k (len(nums) == order + 1,
+        den > 0), brought to lowest terms by one gcd."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        series = object.__new__(cls)
+        series.order = order
+        series.nums = tuple(nums)
+        series.den = den
+        series._coeffs = None
+        return series
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest power first."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(n, den) for n in self.nums)
+        return self._coeffs
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TSeries":
@@ -133,45 +167,41 @@ class TSeries:
     def one(cls, order: int) -> "TSeries":
         return cls.constant(1, order)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def _combine(self, other: "TSeries", sign: int) -> "TSeries":
+        """self + sign * other, truncated to the shorter order."""
+        n = min(self.order, other.order)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        nums = [
+            x * fa + y * fb for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
+        ]
+        return TSeries._reduced(nums, self.den * fa, n)
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            head = (self.coeffs[0] + as_rational(other),) + self.coeffs[1:]
-            return TSeries(head, self.order)
+            c = as_rational(other)
+            nums = [n * c.denominator for n in self.nums]
+            nums[0] += c.numerator * self.den
+            return TSeries._reduced(nums, self.den * c.denominator, self.order)
         if not isinstance(other, TSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TSeries(
-            (self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), n
-        )
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TSeries((-c for c in self.coeffs), self.order)
-
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            head = (self.coeffs[0] - as_rational(other),) + self.coeffs[1:]
-            return TSeries(head, self.order)
+            return self + -as_rational(other)
         if not isinstance(other, TSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TSeries(
-            (self.coeffs[k] - other.coeffs[k] for k in range(n + 1)), n
-        )
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return (-self) + other
-        return NotImplemented
+        return self._combine(other, -1)
 
     def scale(self, factor: Scalar) -> "TSeries":
         c = as_rational(factor)
         _OPS.count += self.order + 1
-        return TSeries((c * a for a in self.coeffs), self.order)
+        return TSeries._reduced(
+            [c.numerator * n for n in self.nums], self.den * c.denominator, self.order
+        )
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -179,16 +209,11 @@ class TSeries:
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, da = _over_common_denominator(self.coeffs[: n + 1])
-        b, db = _over_common_denominator(other.coeffs[: n + 1])
-        b.reverse()  # b[n - i] is the t**i numerator
-        den = da * db
-        out = [
-            Fraction(sum(map(operator.mul, a[: k + 1], b[n - k :])), den)
-            for k in range(n + 1)
-        ]
+        a = self.nums
+        b = other.nums[n::-1]  # b[n - i] is the t**i numerator
+        out = [sum(map(operator.mul, a[: k + 1], b[n - k :])) for k in range(n + 1)]
         _OPS.count += (n + 1) * (n + 2) // 2
-        return TSeries(out, n)
+        return TSeries._reduced(out, self.den * other.den, n)
 
     __rmul__ = __mul__
 
@@ -242,10 +267,14 @@ class TSeries:
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (
+            self.order == other.order
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         return f"TSeries({[str(c) for c in self.coeffs]}, order={self.order})"
@@ -278,7 +307,7 @@ def residue(series: TSeries, m: int) -> Fraction:
         raise TruncationExceeded(
             f"coefficient {m} lies beyond truncation order {series.order}"
         )
-    return series.coeffs[m]
+    return Fraction(series.nums[m], series.den)
 
 
 @_memoized(maxsize=256)

@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coeffident
 import coeffident.identity as identity
@@ -20,6 +22,7 @@ from coeffident.cli import _emit
 from coeffident.residues import (
     base_t_residue,
     correction_t_residue,
+    correction_weight,
     derivative_table,
     w_residue_series,
 )
@@ -185,6 +188,7 @@ def test_caches_are_bounded():
     known = (
         identity._coordinate_factors,
         identity._leading_binomial,
+        identity._binomial_poly,
         derivative_table,
         w_residue_series,
         base_t_residue,
@@ -303,17 +307,52 @@ def test_correction_polynomial_structure():
     assert all(lam.coefficient(k) == 0 for k in range(1, lam.degree + 1, 2))
 
 
+@st.composite
+def small_instances(draw, max_s=3, max_d=3):
+    s = draw(st.integers(min_value=0, max_value=max_s))
+    d = draw(st.integers(min_value=0, max_value=max_d))
+    cuts = sorted(draw(st.lists(st.integers(0, 2 * s + 1), min_size=d, max_size=d)))
+    alpha = tuple(b - a for a, b in zip((0, *cuts), (*cuts, 2 * s + 1)))
+    gamma = draw(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=9),
+            min_size=d + 1,
+            max_size=d + 1,
+        )
+    )
+    return IdentityInstance(s=s, alpha=alpha, gamma=tuple(gamma))
+
+
+@given(small_instances())
+def test_correction_numerators_are_the_polynomial(inst):
+    nums, den = identity._correction_numerators(inst)
+    assert den > 0
+    assert not nums or nums[-1] != 0
+    # the Fraction product of the coordinate factors, as Poly arithmetic
+    expected = Poly([1], var="u")
+    for a, g in zip(inst.alpha, inst.gamma):
+        factor = [F(0)] * (2 * (a // 2) + 1)
+        factor[0] = F(1)
+        for k in range(1, a // 2 + 1):
+            factor[2 * k] = correction_weight(a, k, g)
+        expected = expected * Poly(factor, var="u")
+    lam = correction_polynomial(inst)
+    assert tuple(F(n, den) for n in nums) == lam.coeffs == expected.coeffs
+
+
 @pytest.mark.parametrize(
     "lam, broken",
     [
-        (Poly([2, 0, 1], var="u"), "constant term"),
-        (Poly([1, 0, 0, 0, 1], var="u"), "degree"),
-        (Poly([1, F(1, 2)], var="u"), "odd powers"),
+        (([4, 0, 2], 2), "constant term"),  # 2 + u**2/2
+        (([3, 0, 0, 0, 3], 3), "degree"),  # 1 + u**4 at s = 1
+        (([2, 1], 2), "odd powers"),  # 1 + u/2
     ],
 )
 def test_lhs_product_invariants_raise(monkeypatch, lam, broken):
-    # real exceptions, not asserts: they must still fire under python -O
-    monkeypatch.setattr(identity, "correction_polynomial", lambda inst: lam)
+    # lam is the correction polynomial as (numerators, denominator); the
+    # checks are real exceptions, not asserts: they must still fire under
+    # python -O
+    monkeypatch.setattr(identity, "_correction_numerators", lambda inst: lam)
     with pytest.raises(CorrectionInvariantError, match=broken):
         lhs_product(SPOT)
     assert issubclass(CorrectionInvariantError, ArithmeticError)

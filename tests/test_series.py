@@ -76,7 +76,7 @@ def test_scalar_arithmetic():
     a = TSeries([1, 2, 3])
     assert (a + 1).coeffs == (2, 2, 3)
     assert (a - F(1, 2)).coeffs == (F(1, 2), 2, 3)
-    assert (1 - a).coeffs == (0, -2, -3)
+    assert (TSeries.constant(1, a.order) - a).coeffs == (0, -2, -3)
     assert (a * 2).coeffs == (2, 4, 6)
 
 
@@ -252,6 +252,47 @@ def test_mul_is_the_fraction_cauchy_product(xs, ys):
     assert all(type(c) is F for c in product.coeffs)
 
 
+def assert_canonical(series):
+    assert len(series.nums) == series.order + 1
+    assert all(type(n) is int for n in series.nums)
+    assert type(series.den) is int and series.den > 0
+    assert math.gcd(series.den, *series.nums) == 1
+
+
+def assert_same_series(reached, values, order):
+    # a series reached by arithmetic equals, and hashes like, the series
+    # built from its Fraction values
+    assert_canonical(reached)
+    built = TSeries(values, order)
+    assert_canonical(built)
+    assert (reached.nums, reached.den) == (built.nums, built.den)
+    assert reached == built
+    assert hash(reached) == hash(built)
+
+
+@given(coefficient_lists, st.integers(min_value=0, max_value=8), coefficient_lists, rationals)
+@example([F(1, 6), F(1, 3)], 1, [F(-1, 6), F(2, 3)], F(3))
+def test_integer_form_is_canonical(xs, order, ys, c):
+    a = TSeries(xs, order)
+    assert_canonical(a)
+    assert a.coeffs == tuple((xs + [F(0)] * order)[: order + 1])
+    b = TSeries(ys)
+    n = min(a.order, b.order)
+    xa, yb = a.coeffs, b.coeffs
+    assert_same_series(
+        a * b, [sum((xa[i] * yb[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)], n
+    )
+    assert_same_series(a + b, [xa[k] + yb[k] for k in range(n + 1)], n)
+    assert_same_series(a - b, [xa[k] - yb[k] for k in range(n + 1)], n)
+    assert_same_series(a.scale(c), [c * x for x in xa], order)
+    assert_same_series(a + c, [xa[0] + c, *xa[1:]], order)
+    assert_same_series(a - c, [xa[0] - c, *xa[1:]], order)
+    if xa[0]:
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert a * inv == TSeries.one(order)
+
+
 # --- nested series ------------------------------------------------------------------
 
 
@@ -269,7 +310,7 @@ def test_nested_constructor_checks():
 def test_nested_coefficient_contract():
     ns = NestedSeries([TSeries([1, 1], 2), TSeries([0, 1], 2)])
     assert ns.coefficient(1) == TSeries([0, 1], 2)
-    assert ns.coefficient(-1).is_zero()
+    assert ns.coefficient(-1) == TSeries.constant(0, 2)
     with pytest.raises(TruncationExceeded):
         ns.coefficient(2)
 
@@ -277,7 +318,7 @@ def test_nested_coefficient_contract():
 def test_nested_padding():
     ns = NestedSeries([TSeries([1], 1)], w_order=3)
     assert len(ns.coeffs) == 4
-    assert ns.coefficient(3).is_zero()
+    assert ns.coefficient(3) == TSeries.constant(0, 1)
 
 
 def test_nested_mul_is_cauchy_product():
