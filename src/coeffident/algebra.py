@@ -69,13 +69,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(numerator))
 
 
-def binomial(x, b: int):
-    """Binomial coefficient with an arbitrary ring element on top.
+def binomial(x: Scalar, b: int) -> Fraction:
+    """Binomial coefficient with an int or Fraction on top.
 
     Computed as prod_{i=0}^{b-1} (x - i) / b!, the degree-b polynomial
     extension of the integer binomial: for integers 0 <= x < b the product
-    contains a zero factor, and b < 0 gives 0 outright.  ``x`` may be an
-    int, a Fraction, or a Poly; the result lives in the same ring.
+    contains a zero factor, and b < 0 gives 0 outright.
     """
     if b < 0:
         return Fraction(0)
@@ -147,16 +146,6 @@ class Poly:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Poly((-c for c in self.coeffs), self.var)
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly((other,), self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):

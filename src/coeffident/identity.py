@@ -366,13 +366,6 @@ def rhs_closed(inst: IdentityInstance) -> Fraction:
     return Fraction(4**inst.s * num, den)
 
 
-@lru_cache(maxsize=256)
-def _binomial_poly(alpha_c: int) -> Poly:
-    """C(x + alpha_c, alpha_c) as a polynomial in x (``verify_poly_gamma``'s
-    right side, up to a constant)."""
-    return binomial(Poly.indeterminate() + alpha_c, alpha_c)
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -454,26 +447,28 @@ def verify(inst: IdentityInstance) -> VerificationReport:
 # polynomial certification in one gamma coordinate
 
 
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Poly:
-    """The polynomial of degree < len(nodes) through (nodes[i], values[i]).
+def _interpolate(values: Sequence[Fraction]) -> Poly:
+    """The polynomial of degree < n through (x, values[x]), x = 0..n-1.
 
-    Newton divided differences, expanded into monomial coefficients by
-    Horner's scheme; exact over Fraction.  The nodes must be distinct.
+    Newton's forward-difference form sum_k Delta**k * C(x, k), with the
+    values as integer numerators over one denominator, so the differences
+    are ints.  Over the scale (n-1)!, the k-th term's weight
+    Delta**k (n-1)!/k! is an int, and Horner's scheme in the falling
+    factors (x - k) expands the sum into integer monomial coefficients;
+    one Fraction is made per coefficient.
     """
-    n = len(nodes)
-    diffs = list(values)
+    diffs, den = _over_common_denominator(values)
+    n = len(diffs)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - level])
-    coeffs: list[Fraction] = []
-    for i in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - nodes[i]) + diffs[i]
-        shifted = [Fraction(0)] + coeffs
-        for k, c in enumerate(coeffs):
-            shifted[k] -= nodes[i] * c
-        shifted[0] += diffs[i]
-        coeffs = shifted
-    return Poly(coeffs, var="gamma")
+            diffs[i] -= diffs[i - 1]
+    scale = math.factorial(n - 1)
+    coeffs: list[int] = []
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + Delta**k * scale / k!
+        coeffs = [a - k * c for a, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k] * (scale // math.factorial(k))
+    return Poly((Fraction(c, scale * den) for c in coeffs), var="gamma")
 
 
 def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
@@ -538,17 +533,20 @@ def verify_poly_gamma(
     exactly at x = 0, 1, ..., n - 1 (``_lhs_at_nodes``), ``lhs_poly`` is
     the unique interpolating polynomial through those values, and
     ``lhs_poly == rhs_poly`` proves the identity for *every* value of x,
-    rational or not.
+    rational or not.  ``rhs_poly`` is interpolated the same way, from
+    its closed-form values at x = 0, 1, ..., alpha_c.
     """
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
-    lhs = _interpolate(range(inst.s + alpha_c + 1), _lhs_at_nodes(inst, coordinate))
+    lhs = _interpolate(_lhs_at_nodes(inst, coordinate))
     const = Fraction(4) ** inst.s
     for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
         if i != coordinate:
             const *= _leading_binomial(a, g)
-    rhs = Poly((const,)) * _binomial_poly(alpha_c)
+    rhs = _interpolate(
+        [const * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)]
+    )
     return lhs, rhs, lhs == rhs
 
 

@@ -188,7 +188,6 @@ def test_caches_are_bounded():
     known = (
         identity._coordinate_factors,
         identity._leading_binomial,
-        identity._binomial_poly,
         derivative_table,
         w_residue_series,
         base_t_residue,

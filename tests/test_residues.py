@@ -58,7 +58,7 @@ def poly_recurrence_rows(alpha):
             if k < len(rows):
                 acc = acc + rows[k] * (c + (1 + a - 2 * k))
             if k >= 1:
-                acc = acc - rows[k - 1] * (a - 2 * k + 2)
+                acc = acc + rows[k - 1] * (2 * k - a - 2)
             nxt.append(acc)
         rows = nxt
     return tuple(rows)
