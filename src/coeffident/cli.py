@@ -6,7 +6,8 @@ tables and series.  Records are emitted one per line (JSON by default,
 CSV on request).
 
 Exit status: 0 everything verified (or purely informational output),
-1 some route disagreed, 2 usage error.
+1 some route disagreed, 2 usage error, 141 the reader closed the output
+before it was all written (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -345,4 +347,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, so the flush at
+        # interpreter exit cannot raise again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

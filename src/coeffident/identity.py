@@ -36,7 +36,7 @@ import operator
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .algebra import Poly, _over_common_denominator, as_rational, binomial
@@ -128,6 +128,12 @@ class IdentityInstance:
     def d(self) -> int:
         """Number of coordinates minus one."""
         return len(self.alpha) - 1
+
+    @cached_property
+    def top(self) -> Fraction:
+        """The left side's binomial top d + sum(alpha) + sum(gamma),
+        computed once per instance."""
+        return self.d + sum(self.alpha) + sum(self.gamma)
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -228,8 +234,7 @@ def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
         value, n = _composition_sum(tables, inst.s - j)
         inner.append(value)
         terms += n
-    top = inst.d + sum(inst.alpha) + sum(inst.gamma)
-    return _alternating_sum(top, inner, den), terms
+    return _alternating_sum(inst.top, inner, den), terms
 
 
 def lhs_direct(inst: IdentityInstance) -> Fraction:
@@ -249,8 +254,7 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
     the composition sum implicitly.
     """
     order = inst.s
-    exponent = inst.d + sum(inst.alpha) + sum(inst.gamma)
-    acc = binomial_series(-1, exponent, order)
+    acc = binomial_series(-1, inst.top, order)
     for a, g in zip(inst.alpha, inst.gamma):
         acc = acc * w_residue_series(a, g, order)
     return residue(acc, order)
@@ -499,9 +503,7 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
         rest = [_composition_sum(tables, m)[0] for m in range(s + 1)]
     else:
         rest = [1] + [0] * s
-    top0 = inst.d + sum(inst.alpha) + sum(
-        g for i, g in enumerate(inst.gamma) if i != coordinate
-    )
+    top0 = inst.top - inst.gamma[coordinate]
     values = []
     for x in range(s + alpha_c + 1):
         table, den = _coordinate_factors(alpha_c, Fraction(x), s)

@@ -525,6 +525,14 @@ def assert_command_contract(command, **run_kwargs):
     assert bad.stderr.startswith("error:")
 
 
+def source_env():
+    """The environment of a child that imports the source this suite imports."""
+    env = dict(os.environ)
+    source_root = str(Path(coeffident.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_entry_point_installed(tmp_path):
     if tomllib is not None:  # Python 3.10 has no tomllib
         scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
@@ -535,10 +543,31 @@ def test_entry_point_installed(tmp_path):
         assert entry_point.load() is coeffident.cli.entry
 
     # run the same source this suite imports, from outside the checkout
-    env = dict(os.environ)
-    source_root = str(Path(coeffident.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    assert_command_contract([sys.executable, "-m", "coeffident"], cwd=tmp_path, env=env)
+    assert_command_contract(
+        [sys.executable, "-m", "coeffident"], cwd=tmp_path, env=source_env()
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_pipe_exits_141_quietly(tmp_path, jobs):
+    # 2082 records, about 600 kB: far more than a pipe buffer holds, so
+    # the sweep is still writing when the reader goes away
+    argv = ["sweep", "--max-s", "3", "--max-d", "2", "--gamma-set", "0,1,2", "--jobs", jobs]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coeffident", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=source_env(),
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["all_equal"] is True
+        proc.stdout.close()
+        status = proc.wait(timeout=60)
+        assert (status, proc.stderr.read()) == (141, b"")
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 @pytest.mark.skipif(shutil.which("coeffident") is None, reason="coeffident is not installed")

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import coeffident
@@ -112,6 +112,17 @@ def test_instance_validation():
         IdentityInstance(s=0, alpha=(1.9,), gamma=(0,))
     with pytest.raises(InvalidInstance, match="integers"):
         IdentityInstance(s=1.0, alpha=(3,), gamma=(0,))
+
+
+def test_instance_top_is_the_binomial_top():
+    inst = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
+    assert inst.top == inst.d + sum(inst.alpha) + sum(inst.gamma) == F(31, 6)
+    assert inst.top is inst.top  # computed once
+    # the cached value is no field: equality and hashing ignore it
+    fresh = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
+    assert inst == fresh and hash(inst) == hash(fresh)
+    single = IdentityInstance(s=0, alpha=(1,), gamma=(0,))
+    assert single.top == 1 and type(single.top) is F
 
 
 def test_instance_accepts_zero_coordinates():
@@ -513,6 +524,62 @@ def test_verify_poly_gamma_spot_instance():
     lhs, rhs, equal = verify_poly_gamma(SPOT, 1)
     assert equal
     assert rhs == Poly([4, 6, 2])  # 4*C(g+2,2) = 2(g+1)(g+2)
+
+
+def lagrange_coefficients(values):
+    """Monomial coefficients of the polynomial through (x, values[x]),
+    x = 0..n-1, as the Lagrange sum in plain Fraction arithmetic."""
+    n = len(values)
+    coeffs = [F(0)] * n
+    for i, v in enumerate(values):
+        basis, scale = [F(1)], F(1)  # prod_{j != i} (x - j), and (i - j)
+        for j in range(n):
+            if j != i:
+                basis = [a - j * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
+                scale *= i - j
+        for k, c in enumerate(basis):
+            coeffs[k] += v * c / scale
+    return coeffs
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(F(0)),
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([F(0)] * 5)
+@example([F(1, 3)] * 4)
+@example([F(x**3, 2) for x in range(5)])
+def test_interpolate_is_the_lagrange_polynomial(values):
+    p = identity._interpolate(values)
+    assert p.var == "gamma"
+    assert p.degree < len(values)
+    assert all(type(c) is F for c in p.coeffs)
+    assert [p(x) for x in range(len(values))] == values
+    assert p == Poly(lagrange_coefficients(values))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [IdentityInstance(s=3, alpha=(a, 7 - a), gamma=(F(1, 2), F(-2, 3))) for a in range(7)]
+    # C(gamma_1 + alpha_1, alpha_1) = C(1, 2) = 0 makes the constant 0
+    + [IdentityInstance(s=2, alpha=(3, 2), gamma=(F(1, 3), F(-1)))],
+)
+def test_poly_gamma_rhs_is_the_closed_form(inst):
+    alpha_c = inst.alpha[0]
+    const = F(4) ** inst.s * binomial(inst.gamma[1] + inst.alpha[1], inst.alpha[1])
+    expected = rising_factorial(Poly.indeterminate() + 1, alpha_c) * (
+        const / math.factorial(alpha_c)
+    )
+    lhs, rhs, equal = verify_poly_gamma(inst, 0)
+    assert rhs == expected
+    assert equal and lhs == rhs
+    assert rhs.degree == (alpha_c if const else -1)
 
 
 def test_verify_poly_gamma_coordinate_range():
