@@ -43,6 +43,16 @@ def as_rational(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def _as_ratio(value: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of an int or
+    Fraction, refused like ``as_rational`` refuses it; an int makes no
+    Fraction."""
+    if type(value) is int:
+        return value, 1
+    r = as_rational(value)
+    return r.numerator, r.denominator
+
+
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over their lowest common denominator:
     ``values[i] == Fraction(nums[i], den)`` for ``nums, den``.  Exact kernels

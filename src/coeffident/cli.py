@@ -232,6 +232,11 @@ def _cell(key: str, value) -> str:
     return str(value)
 
 
+# One compact encoder for every record: json.dumps with non-default
+# separators would build a new JSONEncoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
     """Write records one per line: compact JSON, or CSV under a header of
     the first record's keys.  Returns the exit status: 1 if some record
@@ -241,7 +246,7 @@ def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
     for record in records:
         ok = ok and all(record.get(key, True) for key in _VERDICTS)
         if fmt == "json":
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+            out.write(_encode_json(record) + "\n")
             continue
         if writer is None:
             writer = csv.writer(out, lineterminator="\n")

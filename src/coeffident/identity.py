@@ -132,8 +132,11 @@ class IdentityInstance:
     @cached_property
     def top(self) -> Fraction:
         """The left side's binomial top d + sum(alpha) + sum(gamma),
-        computed once per instance."""
-        return self.d + sum(self.alpha) + sum(self.gamma)
+        computed once per instance: the gammas are summed as integer
+        numerators over their common denominator, and the one Fraction
+        made is the result."""
+        nums, den = _over_common_denominator(self.gamma)
+        return Fraction((self.d + sum(self.alpha)) * den + sum(nums), den)
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -159,19 +162,29 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=4096)
 def _coordinate_factors(
-    alpha_i: int, gamma_i: Fraction, limit: int
+    alpha_i: int, p: int, q: int, limit: int
 ) -> tuple[tuple[int, ...], int]:
     """One coordinate's factors C(b+g, b) (2b+g+1)**a / a! for b = 0..limit,
-    as integer numerators over their lowest common denominator."""
-    inv_fact = Fraction(1, math.factorial(alpha_i))
-    values = []
-    binom = Fraction(1)  # C(g+b, b), stepped by (g+b)/b
+    g = p/q in lowest terms (q > 0), as integer numerators over their
+    lowest common denominator.
+
+    The b-th factor is prod_{i=1..b} (p + i*q) * (p + (2b+1)*q)**a over
+    q**(a+b) b! a!.  Over D = q**(a+limit) limit! a! its numerator is
+    n_b = prod_{i=1..b} (p + i*q) * (p + (2b+1)*q)**a * q**(limit-b) * limit!/b!,
+    all in ints; dividing D and every n_b by their gcd leaves the lowest
+    common denominator.  The key is ints, so a lookup hashes no Fraction.
+    """
+    head = 1  # prod_{i=1..b} (p + i*q)
+    tail = math.factorial(limit)  # limit!/b!
+    nums = []
     for b in range(limit + 1):
         if b:
-            binom = binom * (gamma_i + b) / b
-        values.append(binom * (2 * b + gamma_i + 1) ** alpha_i * inv_fact)
-    nums, den = _over_common_denominator(values)
-    return tuple(nums), den
+            head *= p + b * q
+            tail //= b
+        nums.append(head * (p + (2 * b + 1) * q) ** alpha_i * q ** (limit - b) * tail)
+    den = q ** (alpha_i + limit) * math.factorial(limit) * math.factorial(alpha_i)
+    common = math.gcd(den, *nums)
+    return tuple(n // common for n in nums), den // common
 
 
 def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int]:
@@ -180,7 +193,7 @@ def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int
     tables = []
     den = 1
     for a, g in zip(inst.alpha, inst.gamma):
-        nums, table_den = _coordinate_factors(a, g, inst.s)
+        nums, table_den = _coordinate_factors(a, g.numerator, g.denominator, inst.s)
         tables.append(nums)
         den *= table_den
     return tables, den
@@ -197,17 +210,17 @@ def _composition_sum(tables: Sequence[Sequence[int]], n: int) -> tuple[int, int]
     return total, terms
 
 
-def _alternating_sum(top: Fraction, inner: Sequence[int], den: int) -> Fraction:
-    """sum_j (-1)**j C(top, j) * inner[j] / den over j = 0..s, s = len(inner) - 1.
+def _alternating_sum(p: int, q: int, inner: Sequence[int], den: int) -> Fraction:
+    """sum_j (-1)**j C(top, j) * inner[j] / den over j = 0..s, s = len(inner) - 1,
+    for top = p/q (q > 0).
 
-    With top = p/q, (-1)**j C(top, j) = prod_{i<j} (i*q - p) / (q**j j!).
+    (-1)**j C(top, j) = prod_{i<j} (i*q - p) / (q**j j!).
     Over the common denominator q**s s! its numerator is the integer
     w_j = prod_{i<j} (i*q - p) * q**(s-j) s!/j!, stepped as one running
     product w_{j+1} = w_j (j*q - p) / (q (j+1)); the division is exact
     for j < s, since q (j+1) divides q**(s-j) s!/j!.  The only Fraction
     is the result.
     """
-    p, q = top.numerator, top.denominator
     s = len(inner) - 1
     scale = q**s * math.factorial(s)
     weight = scale  # w_0
@@ -234,7 +247,8 @@ def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
         value, n = _composition_sum(tables, inst.s - j)
         inner.append(value)
         terms += n
-    return _alternating_sum(inst.top, inner, den), terms
+    top = inst.top
+    return _alternating_sum(top.numerator, top.denominator, inner, den), terms
 
 
 def lhs_direct(inst: IdentityInstance) -> Fraction:
@@ -348,9 +362,12 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _leading_binomial(alpha_i: int, gamma_i: Fraction) -> Fraction:
-    """One coordinate's leading binomial C(gamma_i + alpha_i, alpha_i)."""
-    return binomial(gamma_i + alpha_i, alpha_i)
+def _leading_binomial(alpha_i: int, p: int, q: int) -> tuple[int, int]:
+    """One coordinate's leading binomial C(gamma_i + alpha_i, alpha_i),
+    gamma_i = p/q in lowest terms, as its numerator and denominator in
+    lowest terms.  The key is ints, so a lookup hashes no Fraction."""
+    lead = binomial(Fraction(p + alpha_i * q, q), alpha_i)
+    return lead.numerator, lead.denominator
 
 
 def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
@@ -358,9 +375,9 @@ def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
     denominator (not reduced)."""
     num = den = 1
     for a, g in zip(inst.alpha, inst.gamma):
-        lead = _leading_binomial(a, g)
-        num *= lead.numerator
-        den *= lead.denominator
+        lead_num, lead_den = _leading_binomial(a, g.numerator, g.denominator)
+        num *= lead_num
+        den *= lead_den
     return num, den
 
 
@@ -404,12 +421,14 @@ class VerificationReport:
         record = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, IdentityInstance):
+            # exact type tests: isinstance on a non-Fraction goes through
+            # ABCMeta.__instancecheck__, and fields hold no subclasses
+            if type(value) is IdentityInstance:
                 record["s"] = value.s
                 record["d"] = value.d
                 record["alpha"] = list(value.alpha)
                 record["gamma"] = [str(g) for g in value.gamma]
-            elif isinstance(value, Fraction):
+            elif type(value) is Fraction:
                 record[f.name] = str(value)
             else:
                 record[f.name] = value
@@ -493,7 +512,7 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
     s = inst.s
     alpha_c = inst.alpha[coordinate]
     others = [
-        _coordinate_factors(a, g, s)
+        _coordinate_factors(a, g.numerator, g.denominator, s)
         for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma))
         if i != coordinate
     ]
@@ -503,16 +522,18 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
         rest = [_composition_sum(tables, m)[0] for m in range(s + 1)]
     else:
         rest = [1] + [0] * s
+    # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
     top0 = inst.top - inst.gamma[coordinate]
+    p0, q0 = top0.numerator, top0.denominator
     values = []
     for x in range(s + alpha_c + 1):
-        table, den = _coordinate_factors(alpha_c, Fraction(x), s)
+        table, den = _coordinate_factors(alpha_c, x, 1, s)
         # inner[j] = sum_b T[b] R[m - b] with m = s - j
         inner = [
             sum(map(operator.mul, table[: m + 1], reversed(rest[: m + 1])))
             for m in range(s, -1, -1)
         ]
-        values.append(_alternating_sum(Fraction(top0 + x), inner, den * rest_den))
+        values.append(_alternating_sum(p0 + x * q0, q0, inner, den * rest_den))
     return values
 
 
@@ -542,10 +563,13 @@ def verify_poly_gamma(
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
     lhs = _interpolate(_lhs_at_nodes(inst, coordinate))
-    const = Fraction(4) ** inst.s
+    num, den = 4**inst.s, 1
     for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
         if i != coordinate:
-            const *= _leading_binomial(a, g)
+            lead_num, lead_den = _leading_binomial(a, g.numerator, g.denominator)
+            num *= lead_num
+            den *= lead_den
+    const = Fraction(num, den)
     rhs = _interpolate(
         [const * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)]
     )

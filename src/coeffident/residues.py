@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Poly, as_rational
+from .algebra import Poly, _as_ratio, as_rational
 from .series import TSeries, binomial_series, residue, _memoized, _OPS
 
 __all__ = [
@@ -74,8 +74,7 @@ class DerivativeTable:
         q**n * entries[k](p/q) and scale is q**(n + 1).  The one Fraction
         is the result.
         """
-        x = as_rational(value)
-        p, q = x.numerator, x.denominator
+        p, q = _as_ratio(value)
         num, scale = 0, 1
         for c in reversed(self.entries[k].coeffs):
             num = num * p + c.numerator * scale
@@ -142,23 +141,31 @@ def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
     """[w**alpha] of the exponential core, as a t-series, by direct sum.
 
     The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!.
-    Costs O(order * alpha) multiplications.  Memoized; the counts are
-    logical work, replayed on cache hits, so callers' cost reports are
-    the same with a cold or a warm cache.
+    With gamma = p/q in lowest terms it is an integer over
+    q**(alpha+b) b! alpha!, so over the common denominator
+    q**(alpha+order) order! alpha! its numerator is
+    w_b * (p + (2b+1)*q)**alpha with
+    w_b = prod_{i=1..b} (p + i*q) * q**(order-b) * order!/b!, stepped in
+    ints as w_{b+1} = w_b (p + (b+1)*q) / (q (b+1)), an exact division
+    for b < order.  No Fraction is made; the series is brought to lowest
+    terms once.  Costs O(order * alpha) multiplications.  Memoized; the
+    counts are logical work, replayed on cache hits, so callers' cost
+    reports are the same with a cold or a warm cache.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    g = as_rational(gamma)
-    inv_fact = Fraction(1, math.factorial(alpha))
-    binom = Fraction(1)
-    coeffs = []
+    p, q = _as_ratio(gamma)
+    den = q ** (alpha + order) * math.factorial(order) * math.factorial(alpha)
+    weight = q**order * math.factorial(order)  # w_0
+    nums = []
     for b in range(order + 1):
-        coeffs.append(binom * (2 * b + g + 1) ** alpha * inv_fact)
-        binom = binom * (g + b + 1) / (b + 1)
+        nums.append(weight * (p + (2 * b + 1) * q) ** alpha)
+        if b < order:
+            weight = weight * (p + (b + 1) * q) // (q * (b + 1))
     _OPS.count += (order + 1) * (alpha + 4)
-    return TSeries(coeffs, order)
+    return TSeries._reduced(nums, den, order)
 
 
 def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:

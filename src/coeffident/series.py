@@ -20,7 +20,13 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import _SCALARS, Scalar, _over_common_denominator, as_rational
+from .algebra import (
+    _SCALARS,
+    Scalar,
+    _as_ratio,
+    _over_common_denominator,
+    as_rational,
+)
 
 __all__ = [
     "NonUnitSeries",
@@ -204,10 +210,13 @@ class TSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
-        if not isinstance(other, TSeries):
-            return NotImplemented
+        # the series case first: it is the common one, and an exact type
+        # test costs less than isinstance against a tuple of types
+        if type(other) is not TSeries:
+            if isinstance(other, _SCALARS):
+                return self.scale(other)
+            if not isinstance(other, TSeries):
+                return NotImplemented
         n = min(self.order, other.order)
         a = self.nums
         b = other.nums[n::-1]  # b[n - i] is the t**i numerator
@@ -314,21 +323,27 @@ def residue(series: TSeries, m: int) -> Fraction:
 def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
     """The expansion of (1 + c*x)**r to the given order, r any rational.
 
-    Coefficients come from the incremental ratio binom(r, n+1)/binom(r, n)
-    = (r - n)/(n + 1), so the whole series costs O(order) multiplications.
-    Memoized; a cache hit still counts those multiplications.
+    With c = a/b and r = p/q in lowest terms, the x**n coefficient
+    C(r, n) c**n is a**n prod_{i<n} (p - i*q) over (b*q)**n n!.  Over the
+    common denominator (b*q)**order order! its numerator is
+    a**n prod_{i<n} (p - i*q) (b*q)**(order-n) order!/n!, stepped in ints
+    by the incremental ratio binom(r, n)/binom(r, n-1) = (r - n + 1)/n;
+    each division is exact.  The whole series costs O(order)
+    multiplications and makes no Fraction.  Memoized; a cache hit still
+    counts those multiplications.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    cc = as_rational(c)
-    rr = as_rational(r)
-    coeffs = [Fraction(1)]
-    coef = Fraction(1)
-    for n in range(order):
-        coef = coef * cc * (rr - n) / (n + 1)
-        coeffs.append(coef)
+    a, b = _as_ratio(c)
+    p, q = _as_ratio(r)
+    bq = b * q
+    num = bq**order * math.factorial(order)
+    nums = [num]
+    for n in range(1, order + 1):
+        num = num * a * (p - (n - 1) * q) // (bq * n)
+        nums.append(num)
     _OPS.count += 2 * order
-    return TSeries(coeffs, order)
+    return TSeries._reduced(nums, nums[0], order)
 
 
 def rational_power(base: Scalar, exponent: Scalar) -> Fraction:

@@ -502,7 +502,9 @@ def test_lhs_at_nodes_matches_the_literal_sum():
     [(0, F(0), 0), (3, F(0), 4), (5, F(1), 3), (2, F(-7, 6), 5), (4, F(3, 10), 4)],
 )
 def test_coordinate_factors_are_ints_over_the_lowest_denominator(alpha_i, gamma_i, limit):
-    nums, den = identity._coordinate_factors(alpha_i, gamma_i, limit)
+    nums, den = identity._coordinate_factors(
+        alpha_i, gamma_i.numerator, gamma_i.denominator, limit
+    )
     assert type(nums) is tuple and all(type(n) is int for n in nums)
     assert type(den) is int and den > 0
     values = [oracle_factor(b, alpha_i, gamma_i) for b in range(limit + 1)]
