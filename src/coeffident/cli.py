@@ -13,13 +13,11 @@ before it was all written (128 + SIGPIPE, as a shell reports it).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Any, Callable, Iterable, NamedTuple
 
@@ -46,8 +44,7 @@ class UsageError(ValueError):
     """Bad command-line input; reported on stderr with exit status 2."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     """Parsed, validated invocation."""
 
     subcommand: str
@@ -249,6 +246,7 @@ def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
             out.write(_encode_json(record) + "\n")
             continue
         if writer is None:
+            import csv  # here, so that a JSON run does not pay for it
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(record.keys())
         writer.writerow([_cell(key, value) for key, value in record.items()])

@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import operator
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Poly, _over_common_denominator, as_rational, binomial
 from .residues import (
@@ -81,48 +79,50 @@ class CorrectionInvariantError(ArithmeticError):
 MAX_JOBS = 64
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
+class _InstanceFields(NamedTuple):
+    s: int
+    alpha: tuple[int, ...]
+    gamma: tuple[Fraction, ...]
+
+
+class IdentityInstance(_InstanceFields):
     """One cell of the identity: s plus the alpha and gamma vectors.
 
     Validation happens at construction: the two vectors must have equal
     positive length, s and alpha must be nonnegative integers (anything
     ``operator.index`` accepts; a float is refused, not truncated), gamma
-    must be exact rationals, and sum(alpha)
-    must equal 2s+1 (the identity is not claimed outside that
-    hypothesis).
+    must be exact rationals, and sum(alpha) must equal 2s+1 (the identity
+    is not claimed outside that hypothesis).  ``_make``, and so
+    ``_replace``, construct through the same checks.
     """
 
-    s: int
-    alpha: tuple[int, ...]
-    gamma: tuple[Fraction, ...]
-
-    def __post_init__(self):
+    def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
         try:
-            object.__setattr__(self, "s", operator.index(self.s))
-            object.__setattr__(
-                self, "alpha", tuple(operator.index(a) for a in self.alpha)
-            )
+            s = operator.index(s)
+            alpha = tuple(operator.index(a) for a in alpha)
         except TypeError as exc:
             raise InvalidInstance(f"s and alpha must be integers: {exc}") from None
-        object.__setattr__(
-            self, "gamma", tuple(as_rational(g) for g in self.gamma)
-        )
-        if self.s < 0:
+        gamma = tuple(as_rational(g) for g in gamma)
+        if s < 0:
             raise InvalidInstance("s must be >= 0")
-        if not self.alpha:
+        if not alpha:
             raise InvalidInstance("alpha needs at least one coordinate")
-        if len(self.alpha) != len(self.gamma):
+        if len(alpha) != len(gamma):
             raise InvalidInstance(
-                f"alpha and gamma lengths differ: {len(self.alpha)} vs {len(self.gamma)}"
+                f"alpha and gamma lengths differ: {len(alpha)} vs {len(gamma)}"
             )
-        if any(a < 0 for a in self.alpha):
+        if any(a < 0 for a in alpha):
             raise InvalidInstance("alpha coordinates must be >= 0")
-        if sum(self.alpha) != 2 * self.s + 1:
+        if sum(alpha) != 2 * s + 1:
             raise InvalidInstance(
-                f"sum(alpha) = {sum(self.alpha)} but the hypothesis needs "
-                f"2s+1 = {2 * self.s + 1}"
+                f"sum(alpha) = {sum(alpha)} but the hypothesis needs "
+                f"2s+1 = {2 * s + 1}"
             )
+        return super().__new__(cls, s, alpha, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> IdentityInstance:
+        return cls(*iterable)
 
     @property
     def d(self) -> int:
@@ -210,16 +210,15 @@ def _composition_sum(tables: Sequence[Sequence[int]], n: int) -> tuple[int, int]
     return total, terms
 
 
-def _alternating_sum(p: int, q: int, inner: Sequence[int], den: int) -> Fraction:
-    """sum_j (-1)**j C(top, j) * inner[j] / den over j = 0..s, s = len(inner) - 1,
-    for top = p/q (q > 0).
+def _alternating_sum(p: int, q: int, inner: Sequence[int]) -> tuple[int, int]:
+    """sum_j (-1)**j C(top, j) * inner[j] over j = 0..s, s = len(inner) - 1,
+    for top = p/q (q > 0), as an integer numerator over the scale q**s s!.
 
     (-1)**j C(top, j) = prod_{i<j} (i*q - p) / (q**j j!).
     Over the common denominator q**s s! its numerator is the integer
     w_j = prod_{i<j} (i*q - p) * q**(s-j) s!/j!, stepped as one running
     product w_{j+1} = w_j (j*q - p) / (q (j+1)); the division is exact
-    for j < s, since q (j+1) divides q**(s-j) s!/j!.  The only Fraction
-    is the result.
+    for j < s, since q (j+1) divides q**(s-j) s!/j!.  No Fraction is made.
     """
     s = len(inner) - 1
     scale = q**s * math.factorial(s)
@@ -228,7 +227,7 @@ def _alternating_sum(p: int, q: int, inner: Sequence[int], den: int) -> Fraction
     for j, value in enumerate(inner):
         total += weight * value
         weight = weight * (j * q - p) // (q * (j + 1))
-    return Fraction(total, scale * den)
+    return total, scale
 
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
@@ -248,7 +247,8 @@ def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
         inner.append(value)
         terms += n
     top = inst.top
-    return _alternating_sum(top.numerator, top.denominator, inner, den), terms
+    total, scale = _alternating_sum(top.numerator, top.denominator, inner)
+    return Fraction(total, scale * den), terms
 
 
 def lhs_direct(inst: IdentityInstance) -> Fraction:
@@ -381,9 +381,24 @@ def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
     return num, den
 
 
+def _binomial_product(
+    alpha: Sequence[int], gamma: Sequence[Fraction]
+) -> tuple[int, int]:
+    """prod_i C(gamma_i + alpha_i, alpha_i), each the rising product
+    prod_{k=1..alpha_i} (p + k*q) over q**alpha_i alpha_i! for gamma_i = p/q,
+    as an integer numerator and denominator (not reduced).  The right side
+    shares no code with the product route's ``_leading_binomial``."""
+    num = den = 1
+    for a, g in zip(alpha, gamma):
+        p, q = g.numerator, g.denominator
+        num *= math.prod(range(p + q, p + a * q + 1, q))
+        den *= q**a * math.factorial(a)
+    return num, den
+
+
 def rhs_closed(inst: IdentityInstance) -> Fraction:
     """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i)."""
-    num, den = _leading_product(inst)
+    num, den = _binomial_product(inst.alpha, inst.gamma)
     return Fraction(4**inst.s * num, den)
 
 
@@ -391,8 +406,7 @@ def rhs_closed(inst: IdentityInstance) -> Fraction:
 # verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All four route values for one instance, plus timings and costs.
 
     Equality of the four values is the verdict; timings are wall-clock
@@ -419,8 +433,7 @@ class VerificationReport:
         expands to s, d, alpha, gamma, a Fraction becomes its ``str``, and
         every other value passes through."""
         record = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             # exact type tests: isinstance on a non-Fraction goes through
             # ABCMeta.__instancecheck__, and fields hold no subclasses
             if type(value) is IdentityInstance:
@@ -429,9 +442,9 @@ class VerificationReport:
                 record["alpha"] = list(value.alpha)
                 record["gamma"] = [str(g) for g in value.gamma]
             elif type(value) is Fraction:
-                record[f.name] = str(value)
+                record[name] = str(value)
             else:
-                record[f.name] = value
+                record[name] = value
         return record
 
 
@@ -470,17 +483,18 @@ def verify(inst: IdentityInstance) -> VerificationReport:
 # polynomial certification in one gamma coordinate
 
 
-def _interpolate(values: Sequence[Fraction]) -> Poly:
-    """The polynomial of degree < n through (x, values[x]), x = 0..n-1.
+def _interpolate(nums: Sequence[int], den: int) -> Poly:
+    """The polynomial of degree < n through (x, nums[x] / den), x = 0..n-1,
+    for integer numerators over one positive denominator, not necessarily
+    the lowest.
 
-    Newton's forward-difference form sum_k Delta**k * C(x, k), with the
-    values as integer numerators over one denominator, so the differences
-    are ints.  Over the scale (n-1)!, the k-th term's weight
-    Delta**k (n-1)!/k! is an int, and Horner's scheme in the falling
-    factors (x - k) expands the sum into integer monomial coefficients;
-    one Fraction is made per coefficient.
+    Newton's forward-difference form sum_k Delta**k * C(x, k): the
+    differences of the numerators are ints.  Over the scale (n-1)!, the
+    k-th term's weight Delta**k (n-1)!/k! is an int, and Horner's scheme
+    in the falling factors (x - k) expands the sum into integer monomial
+    coefficients; one Fraction is made per coefficient.
     """
-    diffs, den = _over_common_denominator(values)
+    diffs = list(nums)
     n = len(diffs)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
@@ -494,9 +508,10 @@ def _interpolate(values: Sequence[Fraction]) -> Poly:
     return Poly((Fraction(c, scale * den) for c in coeffs), var="gamma")
 
 
-def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
+def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], int]:
     """The direct left side with gamma[coordinate] pinned to each of
-    x = 0, 1, ..., s + alpha_c, in that order.
+    x = 0, 1, ..., s + alpha_c, in that order, as integer numerators over
+    one shared denominator (not reduced).
 
     Grouping the compositions of s - j by their coordinate-c part b gives
     S_j(x) = sum_b T(x)[b] * R[s - j - b], where T(x) is coordinate c's
@@ -505,9 +520,11 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
     coordinates' compositions are enumerated once per call, and each node
     adds an O(s**2) convolution and the alternating j-sum.  T and R are
     integer numerators over known denominators, so a node costs one
-    integer convolution and one final division.  The regrouped
-    sum is the same exact sum, so every value equals ``lhs_direct`` of
-    the pinned instance.
+    integer convolution and the alternating sum, and makes no Fraction:
+    every node's table reduces the denominator s! alpha_c!, and the
+    alternating sum's scale q0**s s! is the same at every node.  The
+    regrouped sum is the same exact sum, so every value equals
+    ``lhs_direct`` of the pinned instance.
     """
     s = inst.s
     alpha_c = inst.alpha[coordinate]
@@ -525,7 +542,8 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
     # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
     top0 = inst.top - inst.gamma[coordinate]
     p0, q0 = top0.numerator, top0.denominator
-    values = []
+    table_den = math.factorial(s) * math.factorial(alpha_c)
+    nums = []
     for x in range(s + alpha_c + 1):
         table, den = _coordinate_factors(alpha_c, x, 1, s)
         # inner[j] = sum_b T[b] R[m - b] with m = s - j
@@ -533,8 +551,9 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> list[Fraction]:
             sum(map(operator.mul, table[: m + 1], reversed(rest[: m + 1])))
             for m in range(s, -1, -1)
         ]
-        values.append(_alternating_sum(p0 + x * q0, q0, inner, den * rest_den))
-    return values
+        total, scale = _alternating_sum(p0 + x * q0, q0, inner)
+        nums.append(total * (table_den // den))
+    return nums, scale * table_den * rest_den
 
 
 def verify_poly_gamma(
@@ -562,16 +581,14 @@ def verify_poly_gamma(
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
-    lhs = _interpolate(_lhs_at_nodes(inst, coordinate))
-    num, den = 4**inst.s, 1
-    for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma)):
-        if i != coordinate:
-            lead_num, lead_den = _leading_binomial(a, g.numerator, g.denominator)
-            num *= lead_num
-            den *= lead_den
-    const = Fraction(num, den)
+    lhs = _interpolate(*_lhs_at_nodes(inst, coordinate))
+    num, den = _binomial_product(
+        inst.alpha[:coordinate] + inst.alpha[coordinate + 1 :],
+        inst.gamma[:coordinate] + inst.gamma[coordinate + 1 :],
+    )
+    num *= 4**inst.s
     rhs = _interpolate(
-        [const * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)]
+        [num * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)], den
     )
     return lhs, rhs, lhs == rhs
 
@@ -631,5 +648,6 @@ def sweep(
     if jobs == 1:
         yield from map(verify, instances)
         return
+    import multiprocessing  # here, so that a serial run does not pay for it
     with multiprocessing.Pool(processes=jobs) as pool:
         yield from pool.imap(verify, instances, chunksize=32)

@@ -32,9 +32,9 @@ coefficient only when that sign is -1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import Poly, _as_ratio, as_rational
 from .series import TSeries, binomial_series, residue, _memoized, _OPS
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DerivativeTable:
+class DerivativeTable(NamedTuple):
     """Coefficient rows of the alpha-th w-derivative of f**(-c-1).
 
     The derivative equals

@@ -220,9 +220,9 @@ def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
     real = identity._lhs_at_nodes
 
     def one_wrong_node(*args):
-        values = real(*args)
-        values[2] += 1  # the node gamma_1 = 2
-        return values
+        nums, den = real(*args)
+        nums[2] += den  # the node gamma_1 = 2, its value plus one
+        return nums, den
 
     monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
     code, lines, _ = run_lines(

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import pkgutil
 import random
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import coeffident
 import coeffident.identity as identity
-from coeffident.algebra import Poly, binomial, rising_factorial
+from coeffident.algebra import Poly, _over_common_denominator, binomial, rising_factorial
 from coeffident.cli import _emit
 from coeffident.residues import (
     base_t_residue,
@@ -123,6 +124,31 @@ def test_instance_top_is_the_binomial_top():
     assert inst == fresh and hash(inst) == hash(fresh)
     single = IdentityInstance(s=0, alpha=(1,), gamma=(0,))
     assert single.top == 1 and type(single.top) is F
+
+
+def test_records_survive_pickling():
+    # sweep --jobs N sends instances to worker processes and reports back
+    inst = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
+    assert inst.top == F(31, 6)
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst and type(copy) is IdentityInstance and copy.top == inst.top
+    report = verify(inst)
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_replace_and_make_validate():
+    inst = IdentityInstance(s=1, alpha=(1, 2), gamma=(F(1, 2), 0))
+    assert inst._fields == ("s", "alpha", "gamma")
+    assert inst._replace(alpha=(3, 0)) == IdentityInstance(1, (3, 0), (F(1, 2), 0))
+    with pytest.raises(InvalidInstance, match="2s\\+1"):
+        inst._replace(s=inst.s + 1)
+    with pytest.raises(InvalidInstance, match="2s\\+1"):
+        IdentityInstance._make((1, (1, 1), (0, 0)))
+    with pytest.raises(InvalidInstance, match="integers"):
+        inst._replace(s=1.0)
+    with pytest.raises(TypeError):
+        inst._replace(gamma=(0.5, 0))
+    assert type(IdentityInstance._make(inst).gamma[1]) is F
 
 
 def test_instance_accepts_zero_coordinates():
@@ -368,6 +394,25 @@ def test_lhs_product_invariants_raise(monkeypatch, lam, broken):
     assert issubclass(CorrectionInvariantError, ArithmeticError)
 
 
+@given(small_instances().map(lambda inst: inst._replace(gamma=tuple(map(abs, inst.gamma)))))
+def test_right_side_does_not_share_the_leading_binomials(inst):
+    # A wrong leading binomial must move the product route only: the right
+    # side computes its binomials itself.  With gamma >= 0 every binomial
+    # is >= 1, so raising each by one strictly raises the product.
+    real = identity._leading_binomial
+
+    def off_by_one(a, p, q):
+        num, den = real(a, p, q)
+        return num + den, den
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity, "_leading_binomial", off_by_one)
+        report = verify(inst)
+    assert report.lhs_product != report.rhs
+    assert report.all_equal is False
+    assert report.rhs == report.lhs_direct == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+
+
 def test_regression_instance():
     inst = IdentityInstance(s=2, alpha=(2, 3), gamma=(F(1), F(0)))
     report = verify(inst)
@@ -492,9 +537,10 @@ def test_lhs_at_nodes_matches_the_literal_sum():
     for _ in range(12):
         inst = random_rational_instance(rng, max_s=4, max_d=2)
         c = rng.randrange(inst.d + 1)
-        for x, value in enumerate(identity._lhs_at_nodes(inst, c)):
+        nums, den = identity._lhs_at_nodes(inst, c)
+        for x, num in enumerate(nums):
             gamma = inst.gamma[:c] + (F(x),) + inst.gamma[c + 1 :]
-            assert value == oracle_lhs(inst.s, inst.alpha, gamma)
+            assert F(num, den) == oracle_lhs(inst.s, inst.alpha, gamma)
 
 
 @pytest.mark.parametrize(
@@ -558,7 +604,10 @@ def lagrange_coefficients(values):
 @example([F(1, 3)] * 4)
 @example([F(x**3, 2) for x in range(5)])
 def test_interpolate_is_the_lagrange_polynomial(values):
-    p = identity._interpolate(values)
+    nums, den = _over_common_denominator(values)
+    p = identity._interpolate(nums, den)
+    # a denominator above the lowest gives the same polynomial
+    assert identity._interpolate([3 * n for n in nums], 3 * den) == p
     assert p.var == "gamma"
     assert p.degree < len(values)
     assert all(type(c) is F for c in p.coeffs)
@@ -643,9 +692,9 @@ def test_poly_gamma_uses_every_node(monkeypatch, where):
     real = identity._lhs_at_nodes
 
     def one_wrong_node(*args):
-        values = real(*args)
-        values[node] += 1
-        return values
+        nums, den = real(*args)
+        nums[node] += den  # the value at the node, plus one
+        return nums, den
 
     monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
     lhs, rhs, equal = verify_poly_gamma(inst, coordinate)
@@ -667,13 +716,14 @@ def node_cases():
 
 def test_lhs_at_nodes_is_the_direct_route():
     for inst, i in node_cases():
-        values = identity._lhs_at_nodes(inst, i)
-        assert len(values) == inst.s + inst.alpha[i] + 1
-        for x, value in enumerate(values):
+        nums, den = identity._lhs_at_nodes(inst, i)
+        assert len(nums) == inst.s + inst.alpha[i] + 1
+        assert all(type(n) is int for n in nums) and type(den) is int and den > 0
+        for x, num in enumerate(nums):
             gammas = list(inst.gamma)
             gammas[i] = F(x)
             pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
-            assert value == lhs_direct(pinned)
+            assert F(num, den) == lhs_direct(pinned)
 
 
 @pytest.mark.parametrize(
