@@ -5,6 +5,13 @@ grid, ``lemma2`` / ``lemma3`` / ``jseries`` for inspecting the underlying
 tables and series.  Records are emitted one per line (JSON by default,
 CSV on request).
 
+The command line is read from one table, ``_COMMANDS``.  The first word
+names the subcommand; each flag after it is ``--name VALUE`` or
+``--name=VALUE``, spelled in full and given at most once.  The word after
+a flag is always its value, so ``--gamma -1/2,0`` works.  ``-h`` or
+``--help``, alone or after a subcommand, prints a help page formatted
+from the same table.
+
 Exit status: 0 everything verified (or purely informational output),
 1 some route disagreed, 2 usage error, 141 the reader closed the output
 before it was all written (128 + SIGPIPE, as a shell reports it).
@@ -12,7 +19,6 @@ before it was all written (128 + SIGPIPE, as a shell reports it).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -41,7 +47,24 @@ __all__ = ["CliConfig", "UsageError", "parse_config", "run", "main", "entry"]
 
 
 class UsageError(ValueError):
-    """Bad command-line input; reported on stderr with exit status 2."""
+    """Bad command-line input; reported on stderr with exit status 2.
+
+    An argv that breaks the grammar (an unknown subcommand or flag, or a
+    flag that is missing, repeated or without a value) carries ``usage``,
+    the usage line printed before the message; a bad value carries None."""
+
+    def __init__(self, message: str, usage: str | None = None) -> None:
+        super().__init__(message)
+        self.usage = usage
+
+
+class _HelpRequested(Exception):
+    """-h or --help: ``main`` prints the help page of ``subcommand`` (None
+    for the program's own page) and exits 0."""
+
+    def __init__(self, subcommand: str | None) -> None:
+        super().__init__(subcommand)
+        self.subcommand = subcommand
 
 
 class CliConfig(NamedTuple):
@@ -70,18 +93,19 @@ def _integer(text: str) -> int:
     """An ASCII decimal integer, optionally negative; whitespace is trimmed.
     Plain ``int`` would also take "+1", "1_0" and non-ASCII digits."""
     if not _INTEGER_PATTERN.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
 class _Flag(NamedTuple):
     """One flag of one subcommand.
 
-    ``read`` turns its text into the ``field`` value.  An ``_integer``
-    flag is read by argparse itself, which reports bad text with the usage
-    line; any other reader runs after argparse, and its error becomes a
-    UsageError.  An integer value must keep ``low <= value <= high``.  An
-    optional flag that is not given leaves the ``CliConfig`` default."""
+    ``read`` turns its text into the ``field`` value; a ``ValueError``
+    becomes UsageError("--flag: ...").  The ``_integer`` flags are read
+    first, and each value must keep ``low <= value <= high``, so every
+    bound is checked before any other text is read.  An optional flag
+    that is not given leaves the ``CliConfig`` default.  ``metavar`` names
+    the value on the help pages; by default it is the name in capitals."""
 
     name: str
     field: str
@@ -91,12 +115,11 @@ class _Flag(NamedTuple):
     help: str | None = None
     optional: bool = False
     metavar: str | None = None
-    choices: tuple[str, ...] | None = None
 
     @property
-    def dest(self) -> str:
-        """argparse's attribute for the flag: --max-s -> max_s."""
-        return self.name[2:].replace("-", "_")
+    def invocation(self) -> str:
+        """The flag and its value as the help pages show them: --max-s MAX_S."""
+        return f"{self.name} {self.metavar or self.name[2:].upper().replace('-', '_')}"
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -107,7 +130,13 @@ def _rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(piece) for piece in text.split(","))
 
 
-_FORMAT = _Flag("--format", "format", str, optional=True, choices=("json", "csv"))
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv)")
+    return text
+
+
+_FORMAT = _Flag("--format", "format", _format, optional=True, metavar="{json,csv}")
 
 
 # subcommand -> (help, flags)
@@ -168,50 +197,107 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coeffident",
-        description="Exact verification of a multi-binomial identity "
-        "by independent evaluation routes.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(
-                flag.name,
-                type=_integer if flag.read is _integer else None,
-                required=not flag.optional,
-                help=flag.help,
-                metavar=flag.metavar,
-                choices=flag.choices,
-            )
-    return parser
-
-
-_PARSER = _build_parser()
+_DESCRIPTION = (
+    "Exact verification of a multi-binomial identity by independent evaluation routes."
+)
+# subcommand -> {flag name: flag}
+_FLAGS = {sub: {flag.name: flag for flag in flags} for sub, (_, flags) in _COMMANDS.items()}
+_HELP_FLAGS = ("-h", "--help")
 
 
 def parse_config(argv: list[str]) -> CliConfig:
-    """argparse plus semantic validation; raises UsageError on bad input."""
-    ns = _PARSER.parse_args(argv)
-    given = [
-        (flag, value)
-        for flag in _COMMANDS[ns.subcommand][1]
-        if (value := getattr(ns, flag.dest)) is not None
-    ]
-    for flag, value in given:  # every bound before any text is read
-        if flag.high is not None and not flag.low <= value <= flag.high:
-            raise UsageError(f"{flag.name} must be in {flag.low}..{flag.high}")
-        if flag.low is not None and value < flag.low:
-            raise UsageError(f"{flag.name} must be >= {flag.low}")
+    """Read ``argv`` by the ``_COMMANDS`` table and check every value.
+
+    Raises UsageError on bad input, and _HelpRequested on -h or --help."""
+    sub = argv[0] if argv else None
+    if sub in _HELP_FLAGS:
+        raise _HelpRequested(None)
+    flags = _FLAGS.get(sub)
+    if flags is None:
+        problem = "a subcommand is required" if sub is None else f"invalid choice: {sub!r}"
+        raise _grammar_error(None, f"{problem} (choose from {', '.join(_COMMANDS)})")
+    given: dict[str, tuple[_Flag, str]] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            if token in _HELP_FLAGS:
+                raise _HelpRequested(sub)
+            raise _grammar_error(sub, f"unrecognized argument: {token}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise _grammar_error(sub, f"{name} expects a value")
+        if name in given:
+            raise _grammar_error(sub, f"{name} is given more than once")
+        given[name] = flag, text
+    missing = [name for name, flag in flags.items() if not (flag.optional or name in given)]
+    if missing:
+        raise _grammar_error(sub, "the following flags are required: " + ", ".join(missing))
     values = {}
-    for flag, value in given:
-        try:
-            values[flag.field] = value if flag.read is _integer else flag.read(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"{flag.name}: {exc}") from None
-    return CliConfig(subcommand=ns.subcommand, **values)
+    for flag, text in given.values():  # every integer and its bounds first
+        if flag.read is _integer:
+            values[flag.field] = value = _read(flag, text)
+            if flag.high is not None and not flag.low <= value <= flag.high:
+                raise UsageError(f"{flag.name} must be in {flag.low}..{flag.high}")
+            if flag.low is not None and value < flag.low:
+                raise UsageError(f"{flag.name} must be >= {flag.low}")
+    for flag, text in given.values():
+        if flag.read is not _integer:
+            values[flag.field] = _read(flag, text)
+    return CliConfig(sub, **values)
+
+
+def _read(flag: _Flag, text: str) -> Any:
+    try:
+        return flag.read(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag.name}: {exc}") from None
+
+
+def _grammar_error(sub: str | None, message: str) -> UsageError:
+    return UsageError(message, usage=_usage(sub))
+
+
+def _fill(head: str, words: Iterable[str], width: int = 79) -> str:
+    """``head`` followed by ``words``, wrapped at ``width``: a word that
+    would pass it starts a new line, indented as far as ``head`` is long."""
+    lines, line = [], head
+    for word in words:
+        if len(line) + len(word) > width and len(line) > len(head):
+            lines.append(line.rstrip())
+            line = " " * len(head)
+        line += word + " "
+    lines.append(line.rstrip())
+    return "\n".join(lines)
+
+
+def _usage(sub: str | None) -> str:
+    """The usage line of ``sub``, or of the program when ``sub`` is None."""
+    if sub is None:
+        return _fill("usage: coeffident ", ["[-h]", "{" + ",".join(_COMMANDS) + "}", "..."])
+    words = ["[-h]"]
+    for flag in _COMMANDS[sub][1]:
+        words.append(f"[{flag.invocation}]" if flag.optional else flag.invocation)
+    return _fill(f"usage: coeffident {sub} ", words)
+
+
+def _help(sub: str | None) -> str:
+    """The help page of ``sub``, or of the program when ``sub`` is None."""
+    if sub is None:
+        about = _DESCRIPTION
+        sections = {"subcommands:": [(name, text) for name, (text, _) in _COMMANDS.items()]}
+    else:
+        about, flags = _COMMANDS[sub]
+        sections = {"options:": [(flag.invocation, flag.help) for flag in flags]}
+    sections.setdefault("options:", []).insert(0, ("-h, --help", "show this help and exit"))
+    column = 4 + max(len(left) for rows in sections.values() for left, _ in rows)
+    page = [_usage(sub), "", _fill("", about.split())]
+    for heading, rows in sections.items():
+        page += ["", heading]
+        page += [_fill(f"  {left}".ljust(column), (text or "").split()) for left, text in rows]
+    return "\n".join(page)
 
 
 # Record keys whose value false means a route disagreed (exit status 1).
@@ -335,16 +421,13 @@ def run(cfg: CliConfig, out: IO[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
+    except _HelpRequested as request:
+        print(_help(request.subcommand))
+        return 0
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
-    except UsageError as exc:
+        if exc.usage is not None:
+            print(exc.usage, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

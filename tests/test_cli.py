@@ -64,11 +64,9 @@ def test_parse_bounds_jobs(sub):
         parse_config(base + ["--jobs", str(identity.MAX_JOBS + 1)])
 
 
-def test_parser_is_built_once(monkeypatch):
-    def no_parser(*args, **kwargs):
-        raise AssertionError("parse_config built an argparse parser")
-
-    monkeypatch.setattr(coeffident.cli.argparse, "ArgumentParser", no_parser)
+def test_parse_config_reads_the_table():
+    # one argv of each subcommand in each spelling, --flag VALUE and
+    # --flag=VALUE, integer flags included
     expected = {
         "verify --s 2 --alpha 5 --gamma=-7/3 --poly-gamma 0 --format csv": CliConfig(
             "verify", format="csv", s=2, alpha=(5,), gamma=(F(-7, 3),), poly_gamma=0
@@ -96,6 +94,16 @@ def test_parser_is_built_once(monkeypatch):
     }
     for argv, cfg in expected.items():
         assert parse_config(argv.split()) == cfg, argv
+
+
+def test_negative_value_after_a_space():
+    # the word after a flag is always its value, even when it starts with "-"
+    spaced = parse_config(["verify", "--s", "0", "--alpha", "1", "--gamma", "-1/2,0"])
+    joined = parse_config(["verify", "--s", "0", "--alpha", "1", "--gamma=-1/2,0"])
+    assert spaced == joined
+    assert spaced.gamma == (F(-1, 2), F(0))
+    cfg = parse_config(["jseries", "--alpha", "1", "--gamma", "-1/3", "--order", "2"])
+    assert cfg.gamma_value == F(-1, 3)
 
 
 def test_unicode_minus_accepted_in_vectors():
@@ -248,7 +256,7 @@ def test_verify_detects_route_mismatch(capsys, monkeypatch):
     assert record["rhs"] == "-1"
 
 
-# --- argparse plumbing ---------------------------------------------------------------
+# --- grammar and help ------------------------------------------------------------------
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -266,6 +274,54 @@ def test_help_exits_0(capsys):
     out = capsys.readouterr().out
     listed = re.search(r"\{([^}]*)\}", out).group(1)
     assert listed.split(",") == ["verify", "sweep", "lemma2", "lemma3", "jseries"]
+
+
+VERIFY = ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["bench", "--max-s", "1"], "'bench'"),
+        (VERIFY + ["--bogus", "1"], "--bogus"),
+        (["verify", "--s", "1", "--alp", "1,2", "--gamma", "0,0"], "--alp"),  # abbreviated
+        (["verify", "--s", "1", "--alpha", "1,2"], "--gamma"),
+        (["verify", "--alpha", "1,2", "--gamma", "0,0", "--s"], "--s"),
+        (VERIFY[:1] + ["--s", "1", "--s", "0"] + VERIFY[3:], "--s"),
+    ],
+    ids=["subcommand", "unknown", "abbreviated", "missing", "no-value", "repeated"],
+)
+def test_grammar_errors_exit_2_with_usage(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: coeffident")
+    error = captured.err.splitlines()[-1]
+    assert error.startswith("error: ") and named in error
+
+
+def test_value_errors_print_no_usage(capsys):
+    for argv in (
+        ["verify", "--s", "x", "--alpha", "1,2", "--gamma", "0,0"],
+        VERIFY + ["--format", "xml"],
+        ["sweep", "--max-s", "-1", "--max-d", "1", "--gamma-set", "0"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --") and captured.err.count("\n") == 1, argv
+
+
+def test_help_after_a_subcommand_exits_0(capsys):
+    for sub in ["verify", "sweep", "lemma2", "lemma3", "jseries"]:
+        for flag in ["-h", "--help"]:
+            assert main([sub, flag]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: coeffident {sub} [-h]")
+            for name in coeffident.cli._FLAGS[sub]:
+                assert name in out, (sub, name)
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: coeffident [-h]")
 
 
 def test_bench_is_not_a_subcommand(capsys):
@@ -438,8 +494,9 @@ def test_csv_rows_are_the_json_records(capsys, argv):
 # --- golden output ----------------------------------------------------------------------------
 #
 # Each argv's stdout, with the time_*_us values blanked, and exit status,
-# pinned by digest.  --help pages are left out: argparse formats them
-# differently across Python versions.
+# pinned by digest.  The help pages are pinned too: they are formatted from
+# the flag table at a fixed width of 79 columns, whatever the Python version
+# or terminal.
 
 GOLDEN = [
     (["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"], 0, "40ef9ab56d67486d116a2c7a4cb1473e2dba3edf011608a719677eb96f70de48"),
@@ -468,6 +525,8 @@ GOLDEN = [
     (["lemma3", "--max-s", "0"], 0, "b137e91f08ddf4d76c3880bfcf63121b6f1b939d35d605908be1cfb33a777eea"),
     (["jseries", "--alpha", "2", "--gamma=-1/3", "--order", "0"], 0, "a5abf7f2eb9f38af74d35d1a80974a202aca77d78a843e0e6908b7d456cf1664"),
     (["sweep", "--max-s", "1", "--max-d", "2", "--gamma-set", "0,1/2", "--cap", "30", "--jobs", "2"], 0, "38bc3bff1a4c9c8262b807f0e7edff14d0ef29353af840ede892afc1f79c9774"),
+    (["--help"], 0, "19ed6148d53a856cf28408862d38c614d88012d6411730474508154407584aa5"),
+    (["sweep", "--help"], 0, "5bcb682c9d0b6037135ae49bbd8e419579f85e89687e8245eec80b41f4b813be"),
 ]
 
 TIMING_KEY = re.compile(r"time_\w+_us")

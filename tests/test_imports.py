@@ -3,7 +3,9 @@
 Every ``coeffident`` call is its own process, so a module imported at
 start-up is paid for by every call.  ``multiprocessing`` is needed only by
 ``sweep --jobs N`` with N > 1, ``csv`` only by ``--format csv``, and
-``dataclasses`` (which pulls in ``inspect``) by nothing.
+``dataclasses`` (which pulls in ``inspect``) by nothing.  The command line
+is read from the flag table without ``argparse`` (or the ``gettext`` it
+imports for its messages).
 """
 
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
-NOT_AT_START = ("multiprocessing", "dataclasses", "inspect", "csv")
+NOT_AT_START = ("multiprocessing", "dataclasses", "inspect", "csv", "argparse", "gettext")
 
 SCRIPT = r"""
 import contextlib, io, json, sys

@@ -4,7 +4,8 @@ reference witness.
 A fresh interpreter imports ``coeffident`` under ``sys.settrace``, runs
 every subcommand once with small inputs in JSON and in CSV (``verify``
 with and without ``--poly-gamma``, ``sweep --jobs 1``, ``lemma2``,
-``lemma3``, ``jseries``) and the criterion-4 witness calls
+``lemma3``, ``jseries``), the help page of the program and of each
+subcommand, one grammar error, and the criterion-4 witness calls
 (``w_residue_closed`` against ``nested_exp_core``, a derivative-table
 row evaluated as a ``Poly``, ``rising_factorial`` on a ``Poly``).  It
 lists each function defined in the package's source files that was
@@ -73,6 +74,15 @@ for argv in argvs:
             status = cli.main(argv + ["--format", fmt])
         if status != 0 or not out.getvalue():
             sys.exit(f"{argv} --format {fmt}: status {status}")
+for argv in [["--help"], *([sub, "--help"] for sub in cli._COMMANDS)]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        status = cli.main(argv)
+    if status != 0 or not out.getvalue().startswith("usage: coeffident"):
+        sys.exit(f"{argv}: status {status}")
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    status = cli.main(["verify", "--s", "1", "--bogus", "1"])
+if status != 2 or not err.getvalue().startswith("usage: coeffident verify"):
+    sys.exit(f"grammar error: status {status}")
 sys.argv[1:] = ["lemma3", "--max-s", "0"]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
