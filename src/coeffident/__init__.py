@@ -33,7 +33,6 @@ from .residues import (
     DerivativeTable,
     base_t_residue,
     correction_t_residue,
-    correction_weight,
     derivative_table,
     w_residue_closed,
     w_residue_series,
@@ -77,7 +76,6 @@ __all__ = [
     "TruncationExceeded",
     "DerivativeTable",
     "derivative_table",
-    "correction_weight",
     "w_residue_series",
     "w_residue_closed",
     "base_t_residue",

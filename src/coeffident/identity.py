@@ -14,7 +14,8 @@ where S_j sums over all compositions beta of s - j into d+1 parts:
 
 The left side is evaluated three independent ways:
 
-* ``lhs_direct``   -- the literal double sum over compositions;
+* ``lhs_direct``   -- the literal double sum over compositions, walked
+                      once with shared prefixes for every j;
 * ``lhs_residue``  -- [t**s] of (1-t)**(d + sum(alpha+gamma)) times the
                       product of per-coordinate w-residue series, letting
                       the Cauchy product do the composition sum;
@@ -37,11 +38,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import Poly, _over_common_denominator, as_rational, binomial
+from .algebra import Poly, _over_common_denominator, as_rational
 from .residues import (
     base_t_residue,
     correction_t_residue,
-    correction_weight,
+    derivative_table,
     w_residue_series,
 )
 from .series import binomial_series, coefficient_ops, residue
@@ -199,15 +200,35 @@ def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int
     return tables, den
 
 
-def _composition_sum(tables: Sequence[Sequence[int]], n: int) -> tuple[int, int]:
-    """Sum over the compositions beta of n into len(tables) parts of
-    prod_i tables[i][beta_i], and the number of compositions."""
-    total = 0
+def _composition_sums(tables: Sequence[Sequence[int]], n: int) -> tuple[list[int], int]:
+    """For every m = 0..n, the sum over the compositions beta of m into
+    len(tables) parts of prod_i tables[i][beta_i]; and the number of
+    compositions summed, over all m together.
+
+    One depth-first walk over the parts before the last, with an explicit
+    stack (no recursion, so any number of parts works), carries each
+    prefix's budget u = beta_0 + ... and product.  A prefix is closed by
+    the last table: it adds prefix * last[m - u] to the sum of every
+    m >= u.  So the prefixes are shared between all m, and each
+    composition of each m is still visited, and counted, exactly once --
+    the tables are not convolved with each other.
+    """
+    *heads, last = tables
+    sums = [0] * (n + 1)
     terms = 0
-    for beta in compositions(n, len(tables)):
-        total += math.prod(map(operator.getitem, tables, beta))
-        terms += 1
-    return total, terms
+    depth = len(heads)
+    stack = [(0, 0, 1)]  # (parts chosen, budget used, prefix product)
+    while stack:
+        level, used, prefix = stack.pop()
+        if level == depth:
+            for m in range(used, n + 1):
+                sums[m] += prefix * last[m - used]
+            terms += n + 1 - used
+            continue
+        table = heads[level]
+        for b in range(n - used + 1):
+            stack.append((level + 1, used + b, prefix * table[b]))
+    return sums, terms
 
 
 def _alternating_sum(p: int, q: int, inner: Sequence[int]) -> tuple[int, int]:
@@ -235,19 +256,15 @@ def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     if not 0 <= j <= inst.s:
         raise ValueError(f"j={j} outside 0..{inst.s}")
     tables, den = _instance_tables(inst)
-    return Fraction(_composition_sum(tables, inst.s - j)[0], den)
+    return Fraction(_composition_sums(tables, inst.s - j)[0][-1], den)
 
 
 def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
+    """The direct left side, and the number of compositions summed."""
     tables, den = _instance_tables(inst)
-    inner = []
-    terms = 0
-    for j in range(inst.s + 1):
-        value, n = _composition_sum(tables, inst.s - j)
-        inner.append(value)
-        terms += n
+    sums, terms = _composition_sums(tables, inst.s)
     top = inst.top
-    total, scale = _alternating_sum(top.numerator, top.denominator, inner)
+    total, scale = _alternating_sum(top.numerator, top.denominator, sums[::-1])
     return Fraction(total, scale * den), terms
 
 
@@ -283,28 +300,39 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     (trailing zeros stripped) over one positive denominator.
 
     Each coordinate contributes 1 + sum_k weight_k u**(2k), k = 1..alpha_i//2,
-    brought to numerators over the lowest common denominator of its
-    weights; the factors are multiplied by integer convolution, and the
-    denominators multiply.
+    with weight_k = entries[k](gamma_i) / alpha_i! from
+    ``derivative_table(alpha_i)``.  Row k has integer coefficients and
+    degree at most alpha_i - k, so at gamma_i = p/q Horner's scheme in ints
+    gives h_k = q**alpha_i * entries[k](p/q), an integer, and the factor's
+    numerators over the scale q**alpha_i alpha_i! are that scale at u**0
+    and h_k at u**(2k), reduced by their gcd.  The table is looked up once
+    per weight.  The factors are multiplied by integer convolution, and
+    the denominators multiply; no Fraction is made.
     """
     nums, den = [1], 1
     for a, g in zip(inst.alpha, inst.gamma):
         half = a // 2
         if half == 0:
             continue
-        wnums, wden = _over_common_denominator(
-            [correction_weight(a, k, g) for k in range(1, half + 1)]
-        )
+        p, q = g.numerator, g.denominator
         factor = [0] * (2 * half + 1)
-        factor[0] = wden
-        factor[2::2] = wnums
+        factor[0] = q**a * math.factorial(a)
+        for k in range(1, half + 1):
+            row = derivative_table(a).entries[k].coeffs
+            h, qpow = 0, q ** (a - len(row) + 1)
+            for c in reversed(row):
+                h = h * p + c.numerator * qpow
+                qpow *= q
+            factor[2 * k] = h
+        common = math.gcd(*factor)
+        factor = [y // common for y in factor]
         product = [0] * (len(nums) + 2 * half)
         for i, x in enumerate(nums):
             if x:
                 for j, y in enumerate(factor):
                     product[i + j] += x * y
         nums = product
-        den *= wden
+        den *= factor[0]
     while nums and not nums[-1]:
         nums.pop()
     return nums, den
@@ -330,8 +358,10 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     collapses to scalar residues: the base one (worth 4**s) plus the
     even-index corrections weighted by the correction polynomial.  The
     binomial prefactors come out in front.  The correction polynomial's
-    invariants are checked, and the sum is taken, on its integer
-    numerators; the result is the one Fraction made.
+    weights are evaluated from the derivative table's integer rows by
+    Horner's scheme in ints, and the binomial prefactors are integer
+    rising products; the invariants are checked, and the sum is taken,
+    on the integer numerators, and the result is the one Fraction made.
     """
     nums, den = _correction_numerators(inst)
     degree = len(nums) - 1
@@ -365,9 +395,15 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
 def _leading_binomial(alpha_i: int, p: int, q: int) -> tuple[int, int]:
     """One coordinate's leading binomial C(gamma_i + alpha_i, alpha_i),
     gamma_i = p/q in lowest terms, as its numerator and denominator in
-    lowest terms.  The key is ints, so a lookup hashes no Fraction."""
-    lead = binomial(Fraction(p + alpha_i * q, q), alpha_i)
-    return lead.numerator, lead.denominator
+    lowest terms: the rising product (p + q)(p + 2q)...(p + alpha_i*q) over
+    q**alpha_i alpha_i!, stepped one factor at a time in ints and reduced
+    by one gcd.  The key is ints, so a lookup hashes no Fraction."""
+    num = den = 1
+    for k in range(1, alpha_i + 1):
+        num *= p + k * q
+        den *= k * q
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
@@ -517,14 +553,16 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     S_j(x) = sum_b T(x)[b] * R[s - j - b], where T(x) is coordinate c's
     factor table at gamma_c = x and R[m] sums the composition products of
     m over the other coordinates.  R does not depend on x, so the other
-    coordinates' compositions are enumerated once per call, and each node
-    adds an O(s**2) convolution and the alternating j-sum.  T and R are
-    integer numerators over known denominators, so a node costs one
-    integer convolution and the alternating sum, and makes no Fraction:
-    every node's table reduces the denominator s! alpha_c!, and the
-    alternating sum's scale q0**s s! is the same at every node.  The
-    regrouped sum is the same exact sum, so every value equals
-    ``lhs_direct`` of the pinned instance.
+    coordinates' compositions are walked once per call, by the direct
+    route's prefix walk (``_composition_sums``), and each node adds an
+    O(s**2) convolution and the alternating j-sum.  T and R are integer
+    numerators over known denominators, so a node costs one integer
+    convolution and the alternating sum, and makes no Fraction: every
+    node's table reduces the denominator s! alpha_c!, and the alternating
+    sum's scale q0**s s! is the same at every node.  The top without
+    coordinate c, top0 = p0/q0, is the instance's top minus gamma_c, taken
+    in ints and reduced by one gcd.  The regrouped sum is the same exact
+    sum, so every value equals ``lhs_direct`` of the pinned instance.
     """
     s = inst.s
     alpha_c = inst.alpha[coordinate]
@@ -535,22 +573,23 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     ]
     rest_den = math.prod(den for _, den in others)
     if others:
-        tables = [nums for nums, _ in others]
-        rest = [_composition_sum(tables, m)[0] for m in range(s + 1)]
+        rest = _composition_sums([nums for nums, _ in others], s)[0]
     else:
         rest = [1] + [0] * s
     # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
-    top0 = inst.top - inst.gamma[coordinate]
-    p0, q0 = top0.numerator, top0.denominator
+    top, gamma_c = inst.top, inst.gamma[coordinate]
+    q0 = top.denominator * gamma_c.denominator
+    p0 = top.numerator * gamma_c.denominator - gamma_c.numerator * top.denominator
+    common = math.gcd(p0, q0)
+    p0, q0 = p0 // common, q0 // common
     table_den = math.factorial(s) * math.factorial(alpha_c)
+    # inner[j] = sum_b T[b] R[s - j - b]: the tail R[s - j], ..., R[0]
+    # holds R[s - j - b] at index b, and map stops at its end
+    tails = [rest[s - j :: -1] for j in range(s + 1)]
     nums = []
     for x in range(s + alpha_c + 1):
         table, den = _coordinate_factors(alpha_c, x, 1, s)
-        # inner[j] = sum_b T[b] R[m - b] with m = s - j
-        inner = [
-            sum(map(operator.mul, table[: m + 1], reversed(rest[: m + 1])))
-            for m in range(s, -1, -1)
-        ]
+        inner = [sum(map(operator.mul, table, tail)) for tail in tails]
         total, scale = _alternating_sum(p0 + x * q0, q0, inner)
         nums.append(total * (table_den // den))
     return nums, scale * table_den * rest_den
@@ -572,25 +611,32 @@ def verify_poly_gamma(
     4**s C(x + alpha_c, alpha_c) times constants, has degree alpha_c.
     Two polynomials of degree at most n - 1 = s + alpha_c that agree at
     n distinct points are equal.  So the direct left side is evaluated
-    exactly at x = 0, 1, ..., n - 1 (``_lhs_at_nodes``), ``lhs_poly`` is
-    the unique interpolating polynomial through those values, and
-    ``lhs_poly == rhs_poly`` proves the identity for *every* value of x,
-    rational or not.  ``rhs_poly`` is interpolated the same way, from
-    its closed-form values at x = 0, 1, ..., alpha_c.
+    exactly at x = 0, 1, ..., n - 1 (``_lhs_at_nodes``), the right side's
+    closed form num * C(x + alpha_c, alpha_c) / den is evaluated at the
+    same nodes, and the two are compared there, as integer cross products
+    of their numerators and denominators.  Agreement at all n nodes proves
+    the identity for *every* value of x, rational or not; that is
+    ``equal``.  Only then is a polynomial needed: ``rhs_poly`` is
+    interpolated from its values at x = 0, 1, ..., alpha_c, and when the
+    sides agree it is also ``lhs_poly``, since the unique polynomial of
+    degree < n through the left side's n values is then this one.  When
+    they disagree, ``lhs_poly`` is interpolated from the left side's own
+    n values, so a wrong node shows in it.
     """
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
-    lhs = _interpolate(*_lhs_at_nodes(inst, coordinate))
+    lnums, lden = _lhs_at_nodes(inst, coordinate)
     num, den = _binomial_product(
         inst.alpha[:coordinate] + inst.alpha[coordinate + 1 :],
         inst.gamma[:coordinate] + inst.gamma[coordinate + 1 :],
     )
     num *= 4**inst.s
-    rhs = _interpolate(
-        [num * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)], den
-    )
-    return lhs, rhs, lhs == rhs
+    rnums = [num * math.comb(x + alpha_c, alpha_c) for x in range(len(lnums))]
+    equal = all(left * den == right * lden for left, right in zip(lnums, rnums))
+    rhs = _interpolate(rnums[: alpha_c + 1], den)
+    lhs = rhs if equal else _interpolate(lnums, lden)
+    return lhs, rhs, equal
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .series import TSeries, binomial_series, residue, _memoized, _OPS
 __all__ = [
     "DerivativeTable",
     "derivative_table",
-    "correction_weight",
     "w_residue_series",
     "w_residue_closed",
     "base_t_residue",
@@ -122,17 +121,6 @@ def derivative_table(alpha: int) -> DerivativeTable:
             entries.append(acc)
         prev = entries
     return DerivativeTable(alpha, tuple(Poly(row, var="gamma") for row in prev))
-
-
-def correction_weight(alpha: int, k: int, gamma) -> Fraction:
-    """The k-th correction weight: entries[k](gamma) / alpha!.
-
-    Defined for 1 <= k <= alpha//2 (k = 0 is the leading row, which is
-    absorbed into the binomial prefactor instead).
-    """
-    if not 1 <= k <= alpha // 2:
-        raise ValueError(f"k={k} outside 1..{alpha // 2} for alpha={alpha}")
-    return derivative_table(alpha).weight(k, gamma)
 
 
 @_memoized(maxsize=256)

@@ -296,14 +296,26 @@ def test_criterion_8_bench_counters(capsys):
     counter_bad = []
     for row in rows:
         s, d = int(row["s"]), int(row["d"])
+        alpha = [int(a) for a in row["alpha"].split(",")]
         expected = sum(math.comb(s - j + d, d) for j in range(s + 1))
-        if int(row["direct_terms"]) != expected or row["all_equal"] != "true":
+        # 2s for the top's series, (s+1)(alpha_i+4) for each coordinate's
+        # series, and (s+1)(s+2)/2 for each of the d+1 truncated products
+        residue_ops = (
+            2 * s
+            + sum((s + 1) * (a + 4) for a in alpha)
+            + (d + 1) * (s + 1) * (s + 2) // 2
+        )
+        if (
+            int(row["direct_terms"]) != expected
+            or int(row["residue_ops"]) != residue_ops
+            or row["all_equal"] != "true"
+        ):
             counter_bad.append(row)
     ok = len(rows) == expected_rows and not counter_bad
     announce(
         8,
         "sweep over s<=6, d<=3, gammas {0,1}: all routes agree and the "
-        "direct-route term counters match the composition-count formula",
+        "direct-route term and residue-route op counters match their formulas",
         ok,
         f"{len(rows)} instances",
     )

@@ -23,7 +23,6 @@ from coeffident.cli import _emit
 from coeffident.residues import (
     base_t_residue,
     correction_t_residue,
-    correction_weight,
     derivative_table,
     w_residue_series,
 )
@@ -370,7 +369,7 @@ def test_correction_numerators_are_the_polynomial(inst):
         factor = [F(0)] * (2 * (a // 2) + 1)
         factor[0] = F(1)
         for k in range(1, a // 2 + 1):
-            factor[2 * k] = correction_weight(a, k, g)
+            factor[2 * k] = derivative_table(a).weight(k, g)
         expected = expected * Poly(factor, var="u")
     lam = correction_polynomial(inst)
     assert tuple(F(n, den) for n in nums) == lam.coeffs == expected.coeffs
@@ -411,6 +410,27 @@ def test_right_side_does_not_share_the_leading_binomials(inst):
     assert report.lhs_product != report.rhs
     assert report.all_equal is False
     assert report.rhs == report.lhs_direct == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+
+
+def test_verify_looks_up_the_derivative_table_once_per_weight():
+    # the product route looks the table up once per correction weight,
+    # sum_i alpha_i // 2 times per instance, and never for a leading
+    # binomial, with a cold cache or a warm one; the benchmark's replay
+    # makes the same lookups and checks the table's hit ratio against it
+    cases = [
+        SPOT,
+        IdentityInstance(s=3, alpha=(4, 3), gamma=(F(1, 2), F(2))),
+        IdentityInstance(s=2, alpha=(1, 0, 4), gamma=(F(-1, 3), F(0), F(5))),
+        IdentityInstance(s=4, alpha=(9,), gamma=(F(7, 2),)),
+        IdentityInstance(s=1, alpha=(1, 1, 1), gamma=(F(1), F(2), F(3))),
+    ]
+    clear_caches()
+    for inst in cases * 2:
+        before = derivative_table.cache_info()
+        verify(inst)
+        after = derivative_table.cache_info()
+        lookups = after.hits + after.misses - before.hits - before.misses
+        assert lookups == sum(a // 2 for a in inst.alpha)
 
 
 def test_regression_instance():
@@ -682,6 +702,15 @@ def test_poly_gamma_exact_off_the_nodes():
             assert rhs(x) == rhs_closed(pinned)
 
 
+def test_poly_gamma_lhs_is_the_left_side_interpolated():
+    # when the sides agree, lhs_poly is the right side's polynomial; it is
+    # the one through the left side's own node values
+    for inst, i in criterion_6_cells():
+        lhs, rhs, equal = verify_poly_gamma(inst, i)
+        assert equal
+        assert lhs == identity._interpolate(*identity._lhs_at_nodes(inst, i))
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_poly_gamma_uses_every_node(monkeypatch, where):
     # a wrong value at any single node must break the certification
@@ -732,21 +761,22 @@ def test_lhs_at_nodes_is_the_direct_route():
 )
 def test_poly_gamma_enumerates_the_other_coordinates_once(monkeypatch, alpha, coordinate):
     # one pass over the compositions of m = 0..s into the d other parts,
-    # however many nodes alpha_c asks for
+    # however many nodes alpha_c asks for: the prefix walk's visits, as it
+    # counts them, add up to that one pass
     inst = IdentityInstance(s=3, alpha=alpha, gamma=(F(1, 2),) * len(alpha))
-    real = identity.compositions
-    yielded = 0
+    real = identity._composition_sums
+    visits = 0
 
-    def counted(n, parts):
-        nonlocal yielded
-        for beta in real(n, parts):
-            yielded += 1
-            yield beta
+    def counted(tables, n):
+        nonlocal visits
+        sums, terms = real(tables, n)
+        visits += terms
+        return sums, terms
 
-    monkeypatch.setattr(identity, "compositions", counted)
+    monkeypatch.setattr(identity, "_composition_sums", counted)
     assert verify_poly_gamma(inst, coordinate)[2]
     d = inst.d
-    assert yielded == sum(math.comb(m + d - 1, d - 1) for m in range(inst.s + 1))
+    assert visits == sum(math.comb(m + d - 1, d - 1) for m in range(inst.s + 1))
 
 
 # --- enumeration, sweep -----------------------------------------------------------------

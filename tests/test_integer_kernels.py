@@ -5,9 +5,12 @@
 their result.  Each must give exactly what the earlier Fraction loop,
 written out below, gives: the same numerators over the same lowest
 denominator, and for a series the same ``(order, nums, den)`` as
-``TSeries(fraction_coeffs, order)``.
+``TSeries(fraction_coeffs, order)``.  The direct route's prefix walk,
+``identity._composition_sums``, must give what a plain enumeration of
+the compositions gives.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -128,3 +131,30 @@ def test_leading_binomial_is_the_generalized_binomial(alpha, g):
         lead.numerator,
         lead.denominator,
     )
+
+
+@st.composite
+def composition_tables(draw):
+    """A budget n and 1..4 integer tables of at least n + 1 entries, zeros
+    drawn often."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    table = st.lists(entry, min_size=n + 1, max_size=n + 3)
+    return draw(st.lists(table, min_size=1, max_size=4)), n
+
+
+@given(composition_tables())
+@example(([[3, 0, 5]], 2))  # one part: the sums are the table itself
+@example(([[0, 0], [0, 7], [2, 0]], 1))
+@example(([[1], [1], [1], [1]], 0))
+def test_composition_sums_are_the_plain_enumeration(case):
+    tables, n = case
+    sums, terms = identity._composition_sums(tables, n)
+    expected, count = [0] * (n + 1), 0
+    for beta in itertools.product(range(n + 1), repeat=len(tables)):
+        m = sum(beta)
+        if m <= n:
+            expected[m] += math.prod(t[b] for t, b in zip(tables, beta))
+            count += 1
+    assert sums == expected
+    assert terms == count == math.comb(n + len(tables), len(tables))

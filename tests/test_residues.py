@@ -7,7 +7,6 @@ from coeffident.algebra import Poly, rising_factorial
 from coeffident.residues import (
     base_t_residue,
     correction_t_residue,
-    correction_weight,
     derivative_table,
     w_residue_closed,
     w_residue_series,
@@ -88,17 +87,9 @@ def test_table_json_dict():
 
 
 def test_correction_weight_example():
-    assert correction_weight(3, 1, F(0)) == F(-5, 6)
-    assert correction_weight(2, 1, F(3)) == -2  # -(3+1)/2!
-
-
-def test_correction_weight_range_errors():
-    with pytest.raises(ValueError):
-        correction_weight(3, 0, F(0))
-    with pytest.raises(ValueError):
-        correction_weight(3, 2, F(0))
-    with pytest.raises(ValueError):
-        correction_weight(1, 1, F(0))
+    # the product route's weights: entries[k](gamma) / alpha!, k >= 1
+    assert derivative_table(3).weight(1, F(0)) == F(-5, 6)
+    assert derivative_table(2).weight(1, F(3)) == -2  # -(3+1)/2!
 
 
 # --- the w-residue series and its closed form --------------------------------
@@ -169,7 +160,7 @@ def test_wrongly_normalized_closed_form_fails():
     lead = binomial(g + alpha, alpha)
     base = binomial_series(-1, -g - alpha - 1, order) * binomial_series(1, alpha, order)
     ratio_sq = (binomial_series(-1, 1, order) * binomial_series(1, -1, order)) ** 2
-    bad = (base * (TSeries.one(order) + ratio_sq.scale(correction_weight(2, 1, g)))).scale(lead)
+    bad = (base * (TSeries.one(order) + ratio_sq.scale(derivative_table(2).weight(1, g)))).scale(lead)
     assert bad != w_residue_series(alpha, g, order)
 
 
