@@ -15,18 +15,12 @@ from .algebra import (
     as_rational,
     binomial,
     parse_rational,
-    rising_factorial,
 )
 from .series import (
-    IrrationalScalarPower,
-    NestedSeries,
-    NonUnitSeries,
     TSeries,
     TruncationExceeded,
     binomial_series,
     coefficient_ops,
-    nested_exp_core,
-    rational_power,
     residue,
 )
 from .residues import (
@@ -44,7 +38,6 @@ from .identity import (
     InvalidInstance,
     VerificationReport,
     compositions,
-    correction_polynomial,
     inner_sum,
     iter_instances,
     lhs_direct,
@@ -62,17 +55,11 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "binomial",
-    "rising_factorial",
     "Poly",
     "TSeries",
-    "NestedSeries",
     "binomial_series",
     "residue",
-    "rational_power",
-    "nested_exp_core",
     "coefficient_ops",
-    "NonUnitSeries",
-    "IrrationalScalarPower",
     "TruncationExceeded",
     "DerivativeTable",
     "derivative_table",
@@ -91,7 +78,6 @@ __all__ = [
     "lhs_residue",
     "lhs_product",
     "rhs_closed",
-    "correction_polynomial",
     "verify",
     "verify_poly_gamma",
     "iter_instances",

@@ -19,7 +19,6 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "binomial",
-    "rising_factorial",
     "Poly",
 ]
 
@@ -92,16 +91,6 @@ def binomial(x: Scalar, b: int) -> Fraction:
     for i in range(b):
         acc = acc * (x - i)
     return acc * Fraction(1, math.factorial(b))
-
-
-def rising_factorial(x, n: int):
-    """Product x (x+1) ... (x+n-1); the empty product (= 1) for n = 0."""
-    if n < 0:
-        raise ValueError("rising_factorial needs n >= 0")
-    acc = Fraction(1)
-    for i in range(n):
-        acc = acc * (x + i)
-    return acc
 
 
 class Poly:

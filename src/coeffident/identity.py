@@ -59,7 +59,6 @@ __all__ = [
     "lhs_residue",
     "lhs_product",
     "rhs_closed",
-    "correction_polynomial",
     "verify",
     "verify_poly_gamma",
     "iter_instances",
@@ -299,15 +298,16 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     """The correction polynomial as integer numerators of u**0, u**1, ...
     (trailing zeros stripped) over one positive denominator.
 
-    Each coordinate contributes 1 + sum_k weight_k u**(2k), k = 1..alpha_i//2,
-    with weight_k = entries[k](gamma_i) / alpha_i! from
-    ``derivative_table(alpha_i)``.  Row k has integer coefficients and
-    degree at most alpha_i - k, so at gamma_i = p/q Horner's scheme in ints
-    gives h_k = q**alpha_i * entries[k](p/q), an integer, and the factor's
-    numerators over the scale q**alpha_i alpha_i! are that scale at u**0
-    and h_k at u**(2k), reduced by their gcd.  The table is looked up once
-    per weight.  The factors are multiplied by integer convolution, and
-    the denominators multiply; no Fraction is made.
+    The polynomial is the product, in u = (1-t)/(1+t), of one factor per
+    coordinate, 1 + sum_k weight_k u**(2k) for k = 1..alpha_i//2, with
+    weight_k = entries[k](gamma_i) / alpha_i! from ``derivative_table(alpha_i)``.
+    So it has only even powers of u, degree at most
+    2 * sum(alpha_i//2) <= 2s, and constant term 1.  At gamma_i = p/q the
+    factor's numerators over the scale q**alpha_i alpha_i! are that scale
+    at u**0 and the integer ``scaled_row(k, p, q)`` at u**(2k), reduced by
+    their gcd.  The table is looked up once per weight.  The factors are
+    multiplied by integer convolution, and the denominators multiply; no
+    Fraction is made.
     """
     nums, den = [1], 1
     for a, g in zip(inst.alpha, inst.gamma):
@@ -318,12 +318,7 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
         factor = [0] * (2 * half + 1)
         factor[0] = q**a * math.factorial(a)
         for k in range(1, half + 1):
-            row = derivative_table(a).entries[k].coeffs
-            h, qpow = 0, q ** (a - len(row) + 1)
-            for c in reversed(row):
-                h = h * p + c.numerator * qpow
-                qpow *= q
-            factor[2 * k] = h
+            factor[2 * k] = derivative_table(a).scaled_row(k, p, q)
         common = math.gcd(*factor)
         factor = [y // common for y in factor]
         product = [0] * (len(nums) + 2 * half)
@@ -336,18 +331,6 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     while nums and not nums[-1]:
         nums.pop()
     return nums, den
-
-
-def correction_polynomial(inst: IdentityInstance) -> Poly:
-    """Product of the per-coordinate correction factors, in u = (1-t)/(1+t).
-
-    Each coordinate contributes 1 + sum_k weight_k u**(2k) with
-    k <= alpha_i//2, so the product contains only even powers of u and
-    has degree at most 2 * sum(alpha_i//2) <= 2s.  Its constant term
-    is exactly 1.
-    """
-    nums, den = _correction_numerators(inst)
-    return Poly((Fraction(n, den) for n in nums), var="u")
 
 
 def lhs_product(inst: IdentityInstance) -> Fraction:

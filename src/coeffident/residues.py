@@ -64,20 +64,26 @@ class DerivativeTable(NamedTuple):
     alpha: int
     entries: tuple[Poly, ...]
 
-    def weight(self, k: int, value) -> Fraction:
-        """entries[k] evaluated at a rational, normalized by alpha!.
+    def scaled_row(self, k: int, p: int, q: int) -> int:
+        """q**alpha * entries[k](p/q), an integer for q > 0.
 
-        The row has integer coefficients, so at value = p/q Horner's
-        scheme runs in ints: after the row's n + 1 coefficients, num is
-        q**n * entries[k](p/q) and scale is q**(n + 1).  The one Fraction
-        is the result.
+        Row k has integer coefficients c_i and degree at most alpha - k,
+        so the value is sum_i c_i p**i q**(alpha - i), which Horner's
+        scheme computes in ints.
         """
+        row = self.entries[k].coeffs
+        value, qpow = 0, q ** (self.alpha - len(row) + 1)
+        for c in reversed(row):
+            value = value * p + c.numerator * qpow
+            qpow *= q
+        return value
+
+    def weight(self, k: int, value) -> Fraction:
+        """entries[k] evaluated at a rational, normalized by alpha!."""
         p, q = _as_ratio(value)
-        num, scale = 0, 1
-        for c in reversed(self.entries[k].coeffs):
-            num = num * p + c.numerator * scale
-            scale *= q
-        return Fraction(num * q, scale * math.factorial(self.alpha))
+        return Fraction(
+            self.scaled_row(k, p, q), q**self.alpha * math.factorial(self.alpha)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,9 +181,8 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
     )
     bracket = TSeries.constant(table.weight(0, g), order)
     if alpha >= 2:
-        ratio_sq = (
-            binomial_series(-1, 1, order) * binomial_series(1, -1, order)
-        ) ** 2
+        ratio = binomial_series(-1, 1, order) * binomial_series(1, -1, order)
+        ratio_sq = ratio * ratio
         upow = TSeries.one(order)
         for k in range(1, alpha // 2 + 1):
             upow = upow * ratio_sq

@@ -2,10 +2,12 @@
 
 ``TSeries`` is a series in t cut off after an explicit order, held as
 order + 1 integer numerators (zeros kept) over one denominator, so the
-order is part of the value.  ``NestedSeries`` is a series in an outer
-variable w whose coefficients are ``TSeries`` in an inner variable t --
-just enough bivariate structure to expand integrand cores of the shape
-(exp(-w) - t*exp(w))**r and read off w-coefficients.
+order is part of the value.  It has the operations the routes use:
+sums, scalar multiples, the truncated product and coefficient
+extraction by ``residue``.  ``binomial_series`` expands (1 + c*x)**r
+for any rational r.  The blind bivariate expansion that the tests
+compare the derivative table against, with its inverse and rational
+powers, is in ``tests/oracles.py``, not here.
 
 Everything here is formal: no convergence reasoning, no floats, no
 analytic continuation.  A module-level counter tallies coefficient
@@ -29,24 +31,12 @@ from .algebra import (
 )
 
 __all__ = [
-    "NonUnitSeries",
-    "IrrationalScalarPower",
     "TruncationExceeded",
     "TSeries",
-    "NestedSeries",
     "binomial_series",
     "residue",
-    "rational_power",
-    "nested_exp_core",
     "coefficient_ops",
 ]
-
-class NonUnitSeries(ArithmeticError):
-    """A series whose constant term must be invertible has constant term 0."""
-
-
-class IrrationalScalarPower(ArithmeticError):
-    """A scalar power u**r left the rationals (u is no perfect power)."""
 
 
 class TruncationExceeded(LookupError):
@@ -173,16 +163,6 @@ class TSeries:
     def one(cls, order: int) -> "TSeries":
         return cls.constant(1, order)
 
-    def _combine(self, other: "TSeries", sign: int) -> "TSeries":
-        """self + sign * other, truncated to the shorter order."""
-        n = min(self.order, other.order)
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
-        nums = [
-            x * fa + y * fb for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
-        ]
-        return TSeries._reduced(nums, self.den * fa, n)
-
     def __add__(self, other):
         if isinstance(other, _SCALARS):
             c = as_rational(other)
@@ -191,16 +171,15 @@ class TSeries:
             return TSeries._reduced(nums, self.den * c.denominator, self.order)
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self._combine(other, 1)
+        n = min(self.order, other.order)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        nums = [
+            x * fa + y * fb for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
+        ]
+        return TSeries._reduced(nums, self.den * fa, n)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self + -as_rational(other)
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self._combine(other, -1)
 
     def scale(self, factor: Scalar) -> "TSeries":
         c = as_rational(factor)
@@ -226,53 +205,6 @@ class TSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TSeries":
-        """Multiplicative inverse to the same order, by the usual recursion."""
-        u = self.coeffs[0]
-        if u == 0:
-            raise NonUnitSeries("cannot invert a series with zero constant term")
-        inv0 = 1 / u
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            tail = sum(
-                (self.coeffs[i] * out[k - i] for i in range(1, k + 1)), Fraction(0)
-            )
-            out.append(-inv0 * tail)
-        _OPS.count += self.order * (self.order + 1) // 2 + self.order + 1
-        return TSeries(out, self.order)
-
-    def __pow__(self, n: int) -> "TSeries":
-        if not isinstance(n, int):
-            raise TypeError("use pow_rational for fractional exponents")
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def pow_rational(self, exponent: Scalar) -> "TSeries":
-        """Raise a unit series to an exact rational power.
-
-        The constant term u must be nonzero, and u**exponent must itself
-        be rational (otherwise IrrationalScalarPower); the tail is the
-        binomial expansion of (1 + v)**exponent with v = self/u - 1,
-        which terminates at the truncation order because v has no
-        constant term.
-        """
-        r = as_rational(exponent)
-        u = self.coeffs[0]
-        if u == 0:
-            raise NonUnitSeries("pow_rational needs a nonzero constant term")
-        lead = rational_power(u, r)
-        v = self.scale(1 / u) - 1
-        return _one_plus_power(TSeries.one(self.order), v, r, self.order).scale(lead)
-
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -287,21 +219,6 @@ class TSeries:
 
     def __repr__(self):
         return f"TSeries({[str(c) for c in self.coeffs]}, order={self.order})"
-
-
-def _one_plus_power(one, v, r: Fraction, order: int):
-    """(1 + v)**r as sum_n C(r, n) v**n, for a series v without constant
-    term, so v**n vanishes past the truncation ``order``; ``one`` is the
-    unit series of v's kind."""
-    result = vpow = one
-    coef = Fraction(1)
-    for n in range(1, order + 1):
-        coef = coef * (r - (n - 1)) / n
-        if coef == 0:
-            break  # nonnegative integer exponent: expansion ends early
-        vpow = vpow * v
-        result = result + vpow.scale(coef)
-    return result
 
 
 def residue(series: TSeries, m: int) -> Fraction:
@@ -344,181 +261,3 @@ def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
         nums.append(num)
     _OPS.count += 2 * order
     return TSeries._reduced(nums, nums[0], order)
-
-
-def rational_power(base: Scalar, exponent: Scalar) -> Fraction:
-    """Exact base**exponent, defined only when the result is rational.
-
-    Integer exponents always work (base != 0 for negative ones).  For
-    exponent p/q the base must be a perfect q-th power in the rationals;
-    otherwise IrrationalScalarPower is raised.  Negative bases admit only
-    odd root indices.
-    """
-    b = as_rational(base)
-    r = as_rational(exponent)
-    if b == 0:
-        if r > 0:
-            return Fraction(0)
-        raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
-    if r.denominator == 1:
-        return b ** int(r)
-    index = r.denominator
-    negative = b < 0
-    if negative and index % 2 == 0:
-        raise IrrationalScalarPower(f"{b} has no rational {index}th root")
-    num_root = _exact_root(abs(b.numerator), index)
-    den_root = _exact_root(b.denominator, index)
-    if num_root is None or den_root is None:
-        raise IrrationalScalarPower(f"{b} has no rational {index}th root")
-    root = Fraction(-num_root if negative else num_root, den_root)
-    return root ** r.numerator
-
-
-def _exact_root(n: int, k: int) -> int | None:
-    """Integer k-th root of n >= 0, or None when n is not a perfect power."""
-    if n < 2:
-        return n
-    lo, hi = 1, 1
-    while hi**k < n:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
-
-
-class NestedSeries:
-    """Series in an outer variable whose coefficients are TSeries.
-
-    The outer variable (w) is always resolved first: ``coefficient(k)``
-    hands back an ordinary TSeries in the inner variable, and nothing
-    done to the nested series afterwards can reach into it.  All inner
-    series must share one truncation order.
-    """
-
-    __slots__ = ("coeffs", "w_order", "t_order")
-
-    def __init__(self, coeffs: Sequence[TSeries], w_order: int | None = None):
-        rows = list(coeffs)
-        if not rows:
-            raise ValueError("a nested series needs at least the w**0 coefficient")
-        t_order = rows[0].order
-        if any(row.order != t_order for row in rows):
-            raise ValueError("all inner series must share one truncation order")
-        if w_order is None:
-            w_order = len(rows) - 1
-        if w_order < 0:
-            raise ValueError("outer truncation order must be >= 0")
-        if len(rows) <= w_order:
-            zero = TSeries.constant(0, t_order)
-            rows.extend([zero] * (w_order + 1 - len(rows)))
-        else:
-            del rows[w_order + 1 :]
-        self.coeffs = tuple(rows)
-        self.w_order = w_order
-        self.t_order = t_order
-
-    @classmethod
-    def one(cls, t_order: int, w_order: int) -> "NestedSeries":
-        return cls([TSeries.one(t_order)], w_order)
-
-    def coefficient(self, k: int) -> TSeries:
-        """The w**k coefficient; negative k is zero, past w_order unknown."""
-        if k < 0:
-            return TSeries.constant(0, self.t_order)
-        if k > self.w_order:
-            raise TruncationExceeded(
-                f"w-coefficient {k} lies beyond truncation order {self.w_order}"
-            )
-        return self.coeffs[k]
-
-    def __add__(self, other):
-        if not isinstance(other, NestedSeries):
-            return NotImplemented
-        n = min(self.w_order, other.w_order)
-        return NestedSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, NestedSeries):
-            return NotImplemented
-        n = min(self.w_order, other.w_order)
-        return NestedSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    def scale(self, factor) -> "NestedSeries":
-        """Multiply every w-coefficient by a scalar or by a TSeries in t."""
-        if isinstance(factor, TSeries):
-            return NestedSeries([row * factor for row in self.coeffs], self.w_order)
-        return NestedSeries(
-            [row.scale(factor) for row in self.coeffs], self.w_order
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (TSeries,) + _SCALARS):
-            return self.scale(other)
-        if not isinstance(other, NestedSeries):
-            return NotImplemented
-        n = min(self.w_order, other.w_order)
-        t_order = min(self.t_order, other.t_order)
-        rows = []
-        for k in range(n + 1):
-            acc = TSeries.constant(0, t_order)
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            rows.append(acc)
-        return NestedSeries(rows, n)
-
-    __rmul__ = __mul__
-
-    def pow_rational(self, exponent: Scalar) -> "NestedSeries":
-        """Rational power via u**r * (1 + v)**r, u = the w**0 coefficient.
-
-        u must be a unit TSeries (nonzero constant term) whose own
-        rational power exists; v = self/u - 1 has a zero w**0 coefficient
-        so its powers terminate at the outer truncation order.
-        """
-        r = as_rational(exponent)
-        u = self.coeffs[0]
-        if u.coeffs[0] == 0:
-            raise NonUnitSeries("the w**0 coefficient is not a unit series")
-        lead = u.pow_rational(r)
-        one = NestedSeries.one(self.t_order, self.w_order)
-        v = self.scale(u.inverse()) - one
-        return _one_plus_power(one, v, r, self.w_order).scale(lead)
-
-    def __eq__(self, other):
-        if not isinstance(other, NestedSeries):
-            return NotImplemented
-        return self.w_order == other.w_order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.w_order, self.coeffs))
-
-    def __repr__(self):
-        return f"NestedSeries({list(self.coeffs)!r}, w_order={self.w_order})"
-
-
-def nested_exp_core(gamma: Scalar, t_order: int, w_order: int) -> NestedSeries:
-    """Bivariate expansion of (exp(-w) - t*exp(w))**(-(gamma+1)).
-
-    The base expands as sum_n w**n/n! * ((-1)**n - t); its w**0
-    coefficient is 1 - t, a unit, so every rational exponent exists.
-    This is the blind cross-check for the closed forms in
-    ``residues``: no derivative tables, just series arithmetic.
-    """
-    g = as_rational(gamma)
-    rows = []
-    inv_fact = Fraction(1)
-    for n in range(w_order + 1):
-        if n:
-            inv_fact /= n
-        sign = 1 if n % 2 == 0 else -1
-        rows.append(TSeries((sign * inv_fact, -inv_fact), t_order))
-    core = NestedSeries(rows, w_order)
-    return core.pow_rational(-1 - g)

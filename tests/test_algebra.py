@@ -10,8 +10,8 @@ from coeffident.algebra import (
     as_rational,
     binomial,
     parse_rational,
-    rising_factorial,
 )
+from oracles import rising_factorial
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 

@@ -1,5 +1,30 @@
+"""The package's public names, and its boundary with the tests.
+
+The blind-reference expansion and the series operations only it needs
+live in ``tests/oracles.py``; the package must not import them back, and
+the names it once exported for them must stay gone.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import coeffident
 from coeffident import algebra, identity, residues, series
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "coeffident"
+TESTS = Path(__file__).resolve().parent
+
+REMOVED = (
+    "rising_factorial",
+    "NestedSeries",
+    "nested_exp_core",
+    "rational_power",
+    "NonUnitSeries",
+    "IrrationalScalarPower",
+    "correction_polynomial",
+)
 
 
 def test_package_exports_are_the_modules_exports():
@@ -9,3 +34,48 @@ def test_package_exports_are_the_modules_exports():
         assert missing == [], module.__name__
     assert len(set(coeffident.__all__)) == len(coeffident.__all__)
     assert set(coeffident.__all__) == set().union(*(m.__all__ for m in modules))
+
+
+def test_package_imports_nothing_from_the_tests():
+    files = sorted(SOURCE.glob("*.py"))
+    assert files, f"no sources found under {SOURCE}"
+    forbidden = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    assert "oracles" in forbidden
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in forbidden
+            ]
+    assert found == [], found
+
+
+def test_removed_names_stay_removed():
+    modules = [coeffident] + [
+        importlib.import_module(f"coeffident.{info.name}")
+        for info in pkgutil.iter_modules(coeffident.__path__)
+        if info.name != "__main__"
+    ]
+    assert series in modules and identity in modules
+    left = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in REMOVED
+        if hasattr(module, name)
+    ]
+    assert left == [], left
+    # one series type, with only the operations the program uses
+    extra = [
+        name
+        for name in ("inverse", "pow_rational", "__pow__", "__sub__")
+        if hasattr(series.TSeries, name)
+    ]
+    assert extra == [], extra

@@ -1,7 +1,7 @@
 """The integer per-coordinate kernels against the Fraction loops they replace.
 
-``identity._coordinate_factors``, ``residues.w_residue_series`` and
-``series.binomial_series`` compute in ints and make no Fraction before
+``identity._coordinate_factors``, ``residues.w_residue_series``,
+``series.binomial_series`` and ``DerivativeTable.scaled_row`` compute in ints and make no Fraction before
 their result.  Each must give exactly what the earlier Fraction loop,
 written out below, gives: the same numerators over the same lowest
 denominator, and for a series the same ``(order, nums, den)`` as
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import coeffident.identity as identity
 from coeffident.algebra import binomial
-from coeffident.residues import w_residue_series
+from coeffident.residues import derivative_table, w_residue_series
 from coeffident.series import TSeries, binomial_series, coefficient_ops
 
 # gammas: small numerators over denominators up to 10**6, plus the negative
@@ -131,6 +131,18 @@ def test_leading_binomial_is_the_generalized_binomial(alpha, g):
         lead.numerator,
         lead.denominator,
     )
+
+
+@given(alphas, rationals)
+@example(7, F(-7, 3))
+def test_scaled_row_is_the_row_at_p_over_q(alpha, g):
+    table = derivative_table(alpha)
+    p, q = g.numerator, g.denominator
+    for k, row in enumerate(table.entries):
+        value = table.scaled_row(k, p, q)
+        assert type(value) is int
+        assert value == q**alpha * row(g)
+        assert table.weight(k, g) == row(g) / math.factorial(alpha)
 
 
 @st.composite

@@ -1,10 +1,41 @@
-"""No ``assert`` statement in the package: ``python -O`` strips them,
-and with them every check they carried."""
+"""Checks survive ``python -O``.
+
+``python -O`` strips ``assert`` statements, and with them every check they
+carried.  So the package has none, and its checks are run once under
+``-O``: a broken correction polynomial still raises, and an instance
+outside the hypothesis is still a usage error.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "coeffident"
+
+BROKEN_CORRECTION = r"""
+import sys
+from coeffident import identity
+from coeffident.identity import CorrectionInvariantError, IdentityInstance, lhs_product
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+inst = IdentityInstance(s=1, alpha=(1, 2), gamma=(0, 0))
+for lam, broken in [
+    (([4, 0, 2], 2), "constant term"),  # 2 + u**2/2
+    (([3, 0, 0, 0, 3], 3), "degree"),  # 1 + u**4 at s = 1
+    (([2, 1], 2), "odd powers"),  # 1 + u/2
+]:
+    identity._correction_numerators = lambda inst, lam=lam: lam
+    try:
+        lhs_product(inst)
+    except CorrectionInvariantError as exc:
+        if broken not in str(exc):
+            sys.exit(f"{lam}: {exc}")
+    else:
+        sys.exit(f"{lam}: no CorrectionInvariantError under python -O")
+"""
 
 
 def test_package_has_no_assert_statements():
@@ -17,3 +48,29 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def run_optimized(*args):
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_broken_correction_polynomial_raises_under_O():
+    done = run_optimized("-c", BROKEN_CORRECTION)
+    assert done.returncode == 0, done.stderr
+
+
+def test_instance_outside_the_hypothesis_exits_2_under_O():
+    # sum(alpha) = 2, but s = 1 needs 2s + 1 = 3
+    done = run_optimized(
+        "-m", "coeffident", "verify", "--s", "1", "--alpha", "1,1", "--gamma", "0,0"
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "2s+1 = 3" in done.stderr

@@ -5,12 +5,17 @@ A fresh interpreter imports ``coeffident`` under ``sys.settrace``, runs
 every subcommand once with small inputs in JSON and in CSV (``verify``
 with and without ``--poly-gamma``, ``sweep --jobs 1``, ``lemma2``,
 ``lemma3``, ``jseries``), the help page of the program and of each
-subcommand, one grammar error, and the criterion-4 witness calls
-(``w_residue_closed`` against ``nested_exp_core``, a derivative-table
-row evaluated as a ``Poly``, ``rising_factorial`` on a ``Poly``).  It
-lists each function defined in the package's source files that was
-never entered.  Import-time calls count, and the caches start cold, so
-a function reached only through a cache miss is seen.
+subcommand, one grammar error, and the reference witnesses
+(``w_residue_closed`` against ``w_residue_series``, a derivative-table
+row built and evaluated in ``Poly`` arithmetic).  The witnesses import
+nothing from the tests.  It lists each function defined in the
+package's source files that was never entered.  Import-time calls
+count, and the caches start cold, so a function reached only through a
+cache miss is seen.
+
+Every allowed name must name a package function that the run did not
+enter; an allowance that no longer names one, or whose function is now
+entered, fails the test, so the list cannot go stale.
 """
 
 import json
@@ -21,28 +26,22 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
-# Kept although no subcommand reaches them: the reference witnesses, and
-# dunders that only a person at the prompt or a hashed container calls.
-ALLOWED_PREFIXES = ("NestedSeries.",)
+# Kept although neither a subcommand nor a witness enters them.
 ALLOWED_NAMES = {
-    "nested_exp_core",
-    "w_residue_closed",
-    "rising_factorial",
-    # public single-route entry points; ``verify`` calls their counted
-    # or integer forms (``_lhs_direct_counted``, ``_correction_numerators``)
-    "lhs_direct",
-    "inner_sum",
-    "correction_polynomial",
-    # read by the benchmark's replay of the product route and by __str__
-    "Poly.degree",
-    # the generalized binomial of the public API; the benchmark's replay of
-    # the direct and product routes reads it, the program computes its
-    # binomials in ints
+    # the benchmark's replay calls them: it sums the direct route per j
+    # with ``inner_sum`` and ``binomial``, and reads the product route's
+    # correction polynomial with ``Poly.degree``
     "binomial",
+    "inner_sum",
+    "Poly.degree",
+    # the public direct route; ``verify`` calls its counted form,
+    # ``_lhs_direct_counted``
+    "lhs_direct",
     # keeps _make and _replace from building an instance that skipped
     # validation; the program itself calls neither
     "IdentityInstance._make",
 }
+# dunders that only a person at the prompt or a hashed container calls
 ALLOWED_DUNDERS = {"__repr__", "__str__", "__hash__"}
 
 SCRIPT = r"""
@@ -60,9 +59,8 @@ def tracer(frame, event, arg):
 sys.settrace(tracer)
 from fractions import Fraction
 from coeffident import cli
-from coeffident.algebra import Poly, rising_factorial
+from coeffident.algebra import Poly
 from coeffident.residues import derivative_table, w_residue_closed, w_residue_series
-from coeffident.series import nested_exp_core
 
 argvs = [
     ["verify", "--s", "2", "--alpha", "2,3", "--gamma", "1/2,-2/3"],
@@ -97,15 +95,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 for alpha in range(4):
     g = Fraction(1, 2)
-    blind = nested_exp_core(g, 2 * alpha, alpha).coefficient(alpha)
-    if not w_residue_series(alpha, g, 2 * alpha) == w_residue_closed(alpha, g, 2 * alpha) == blind:
+    if w_residue_series(alpha, g, 2 * alpha) != w_residue_closed(alpha, g, 2 * alpha):
         sys.exit(f"witnesses disagree at alpha = {alpha}")
 table = derivative_table(3)
+x = Poly.indeterminate()
+if table.entries[0] != (x + 1) * (x + 2) * (x + 3):
+    sys.exit("derivative-table row 0 is not the rising factorial, in Poly arithmetic")
 if table.entries[1](Fraction(1, 2)) / 6 != table.weight(1, Fraction(1, 2)):
     sys.exit("derivative-table row evaluated as a Poly")
-x = Poly.indeterminate()
-if rising_factorial(x + 1, 3) != (x + 1) * (x + 2) * (x + 3):
-    sys.exit("rising_factorial on a Poly")
 sys.settrace(None)
 
 def functions(code, qualname):
@@ -115,25 +112,24 @@ def functions(code, qualname):
             yield const, name
             yield from functions(const, name)
 
-defined, never = 0, []
+defined, never = [], []
 for path in sorted(package.glob("*.py")):
     module = compile(path.read_text(), str(path), "exec")
     for code, name in functions(module, ""):
-        defined += 1
+        defined.append(f"{path.stem}:{name}")
         if (str(path), code.co_firstlineno, code.co_name) not in entered:
             never.append(f"{path.stem}:{name}")
 print(json.dumps({"defined": defined, "never": never}))
 """
 
 
+def qualnames(entries):
+    return {entry.split(":", 1)[1] for entry in entries}
+
+
 def allowed(entry):
     qualname = entry.split(":", 1)[1]
-    last = qualname.rsplit(".", 1)[-1]
-    return (
-        qualname in ALLOWED_NAMES
-        or qualname.startswith(ALLOWED_PREFIXES)
-        or last in ALLOWED_DUNDERS
-    )
+    return qualname in ALLOWED_NAMES or qualname.rsplit(".", 1)[-1] in ALLOWED_DUNDERS
 
 
 def test_every_function_is_reached():
@@ -147,6 +143,13 @@ def test_every_function_is_reached():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["defined"] > 100  # the walk found the package's functions
+    assert len(result["defined"]) > 100  # the walk found the package's functions
     unreached = [entry for entry in result["never"] if not allowed(entry)]
     assert unreached == [], "entered by nothing: " + ", ".join(unreached)
+    gone = sorted(ALLOWED_NAMES - qualnames(result["defined"]))
+    assert gone == [], "allowed, but no package function: " + ", ".join(gone)
+    entered = sorted(ALLOWED_NAMES - qualnames(result["never"]))
+    assert entered == [], "allowed, but entered: " + ", ".join(entered)
+    dunders = {name.rsplit(".", 1)[-1] for name in qualnames(result["never"])}
+    stale = sorted(ALLOWED_DUNDERS - dunders)
+    assert stale == [], "allowed dunders that every run enters: " + ", ".join(stale)
