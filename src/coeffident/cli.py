@@ -351,7 +351,10 @@ def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
         lhs, rhs, equal = verify_poly_gamma(inst, cfg.poly_gamma)
         record["poly_gamma"] = cfg.poly_gamma
         record["lhs_poly"] = [str(c) for c in lhs.coeffs]
-        record["rhs_poly"] = [str(c) for c in rhs.coeffs]
+        # when the sides agree they are one polynomial, spelled once
+        record["rhs_poly"] = (
+            record["lhs_poly"] if rhs is lhs else [str(c) for c in rhs.coeffs]
+        )
         record["poly_equal"] = equal
     return _emit(out, cfg.format, [record])
 

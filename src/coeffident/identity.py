@@ -40,12 +40,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Poly, _over_common_denominator, as_rational
 from .residues import (
+    _w_residue_numerators,
     base_t_residue,
     correction_t_residue,
     derivative_table,
-    w_residue_series,
 )
-from .series import binomial_series, coefficient_ops, residue
+from .series import _OPS, _binomial_numerators, coefficient_ops
 
 __all__ = [
     "InvalidInstance",
@@ -230,9 +230,9 @@ def _composition_sums(tables: Sequence[Sequence[int]], n: int) -> tuple[list[int
     return sums, terms
 
 
-def _alternating_sum(p: int, q: int, inner: Sequence[int]) -> tuple[int, int]:
-    """sum_j (-1)**j C(top, j) * inner[j] over j = 0..s, s = len(inner) - 1,
-    for top = p/q (q > 0), as an integer numerator over the scale q**s s!.
+def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
+    """(-1)**j C(top, j) for j = 0..s, top = p/q (q > 0), as integer
+    numerators over the scale q**s s!.
 
     (-1)**j C(top, j) = prod_{i<j} (i*q - p) / (q**j j!).
     Over the common denominator q**s s! its numerator is the integer
@@ -240,14 +240,12 @@ def _alternating_sum(p: int, q: int, inner: Sequence[int]) -> tuple[int, int]:
     product w_{j+1} = w_j (j*q - p) / (q (j+1)); the division is exact
     for j < s, since q (j+1) divides q**(s-j) s!/j!.  No Fraction is made.
     """
-    s = len(inner) - 1
-    scale = q**s * math.factorial(s)
-    weight = scale  # w_0
-    total = 0
-    for j, value in enumerate(inner):
-        total += weight * value
+    scale = weight = q**s * math.factorial(s)  # w_0
+    weights = [weight]
+    for j in range(s):
         weight = weight * (j * q - p) // (q * (j + 1))
-    return total, scale
+        weights.append(weight)
+    return weights, scale
 
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
@@ -263,7 +261,9 @@ def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
     tables, den = _instance_tables(inst)
     sums, terms = _composition_sums(tables, inst.s)
     top = inst.top
-    total, scale = _alternating_sum(top.numerator, top.denominator, sums[::-1])
+    # the alternating j-sum: S_j is sums[s - j]
+    weights, scale = _falling_weights(top.numerator, top.denominator, inst.s)
+    total = sum(map(operator.mul, weights, reversed(sums)))
     return Fraction(total, scale * den), terms
 
 
@@ -281,13 +281,26 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
 
     The alternating j-sum is [t**s] (1-t)**(d + sum(alpha+gamma)) times
     the product of the coordinate series; the Cauchy product performs
-    the composition sum implicitly.
+    the composition sum implicitly.  The factors are the integer
+    numerators of ``binomial_series`` and ``w_residue_series`` (their
+    int-keyed kernels, read directly), each truncated product is taken
+    in full to order s on ints, the denominators multiply, and the one
+    Fraction made is the coefficient of t**s.  The ops charged are the
+    ones those kernels and ``TSeries`` multiplication would charge:
+    2s for the binomial series, (s+1)(alpha_i+4) per coordinate series
+    and (s+1)(s+2)/2 per product.
     """
-    order = inst.s
-    acc = binomial_series(-1, inst.top, order)
+    s = inst.s
+    top = inst.top
+    acc, den = _binomial_numerators(-1, 1, top.numerator, top.denominator, s)
+    ops = 2 * s
     for a, g in zip(inst.alpha, inst.gamma):
-        acc = acc * w_residue_series(a, g, order)
-    return residue(acc, order)
+        nums, w_den = _w_residue_numerators(a, g.numerator, g.denominator, s)
+        acc = [sum(map(operator.mul, acc[: k + 1], nums[k::-1])) for k in range(s + 1)]
+        den *= w_den
+        ops += (s + 1) * (a + 4) + (s + 1) * (s + 2) // 2
+    _OPS.count += ops
+    return Fraction(acc[s], den)
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +540,53 @@ def _interpolate(nums: Sequence[int], den: int) -> Poly:
     return Poly((Fraction(c, scale * den) for c in coeffs), var="gamma")
 
 
+@lru_cache(maxsize=256)
+def _node_tables(alpha_c: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """For each node x = 0, 1, ..., s + alpha_c, the series
+    U_x = (1-t)**x T_x to t**s, where T_x is a coordinate's factor table
+    (``_coordinate_factors``) at alpha_c and gamma = x, as integer
+    numerators over the one denominator s! alpha_c!.
+
+    T_x's numerators are brought to that denominator (it is T_x's before
+    the gcd), and the product with the integer series
+    (1-t)**x = sum_k (-1)**k C(x, k) t**k is an integer convolution.  The
+    key is ints, and one entry serves every call at (alpha_c, s).
+    """
+    table_den = math.factorial(s) * math.factorial(alpha_c)
+    tables = []
+    for x in range(s + alpha_c + 1):
+        table, den = _coordinate_factors(alpha_c, x, 1, s)
+        lift = table_den // den
+        signed = [(-1) ** k * math.comb(x, k) * lift for k in range(min(x, s) + 1)]
+        tables.append(
+            tuple(sum(map(operator.mul, signed, table[b::-1])) for b in range(s + 1))
+        )
+    return tuple(tables)
+
+
 def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], int]:
     """The direct left side with gamma[coordinate] pinned to each of
     x = 0, 1, ..., s + alpha_c, in that order, as integer numerators over
     one shared denominator (not reduced).
 
     Grouping the compositions of s - j by their coordinate-c part b gives
-    S_j(x) = sum_b T(x)[b] * R[s - j - b], where T(x) is coordinate c's
+    S_j(x) = sum_b T_x[b] * R[s - j - b], where T_x is coordinate c's
     factor table at gamma_c = x and R[m] sums the composition products of
     m over the other coordinates.  R does not depend on x, so the other
     coordinates' compositions are walked once per call, by the direct
-    route's prefix walk (``_composition_sums``), and each node adds an
-    O(s**2) convolution and the alternating j-sum.  T and R are integer
-    numerators over known denominators, so a node costs one integer
-    convolution and the alternating sum, and makes no Fraction: every
-    node's table reduces the denominator s! alpha_c!, and the alternating
-    sum's scale q0**s s! is the same at every node.  The top without
-    coordinate c, top0 = p0/q0, is the instance's top minus gamma_c, taken
-    in ints and reduced by one gcd.  The regrouped sum is the same exact
-    sum, so every value equals ``lhs_direct`` of the pinned instance.
+    route's prefix walk (``_composition_sums``).  With top0 = p0/q0 the
+    instance's top minus gamma_c (taken in ints, reduced by one gcd), the
+    alternating j-sum at node x is
+    sum_j (-1)**j C(top0 + x, j) S_j(x) = [t**s] (1-t)**(top0+x) T_x R,
+    and since (1-t)**(top0+x) = (1-t)**top0 (1-t)**x (Vandermonde), that
+    is sum_b U_x[b] * A[s - b] with U_x = (1-t)**x T_x (``_node_tables``,
+    cached by alpha_c and s) and A = (1-t)**top0 R truncated at t**s.  A
+    is built once per call, from the weights ``_falling_weights``, in
+    O(s**2); each node is then one dot product, O(s), on integer
+    numerators, and makes no Fraction.  Every U_x is over s! alpha_c!,
+    and A is over q0**s s! times the other tables' denominators, at
+    every node.  The regrouped sum is the same exact sum, so every value
+    equals ``lhs_direct`` of the pinned instance.
     """
     s = inst.s
     alpha_c = inst.alpha[coordinate]
@@ -565,17 +606,24 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     p0 = top.numerator * gamma_c.denominator - gamma_c.numerator * top.denominator
     common = math.gcd(p0, q0)
     p0, q0 = p0 // common, q0 // common
-    table_den = math.factorial(s) * math.factorial(alpha_c)
-    # inner[j] = sum_b T[b] R[s - j - b]: the tail R[s - j], ..., R[0]
-    # holds R[s - j - b] at index b, and map stops at its end
-    tails = [rest[s - j :: -1] for j in range(s + 1)]
-    nums = []
-    for x in range(s + alpha_c + 1):
-        table, den = _coordinate_factors(alpha_c, x, 1, s)
-        inner = [sum(map(operator.mul, table, tail)) for tail in tails]
-        total, scale = _alternating_sum(p0 + x * q0, q0, inner)
-        nums.append(total * (table_den // den))
-    return nums, scale * table_den * rest_den
+    weights, scale = _falling_weights(p0, q0, s)
+    # reversed, so that a node is one aligned dot product: shifted[b] = A[s - b]
+    shifted = [
+        sum(map(operator.mul, weights[: k + 1], rest[k::-1])) for k in range(s, -1, -1)
+    ]
+    nums = [sum(map(operator.mul, u, shifted)) for u in _node_tables(alpha_c, s)]
+    return nums, scale * math.factorial(s) * math.factorial(alpha_c) * rest_den
+
+
+@lru_cache(maxsize=256)
+def _rising_coefficients(a: int) -> tuple[int, ...]:
+    """The integer monomial coefficients of (x + 1)(x + 2)...(x + a),
+    lowest power first: a! C(x + a, a) as a polynomial in x."""
+    coeffs = [1]
+    for k in range(1, a + 1):
+        # coeffs <- coeffs * (x + k)
+        coeffs = [k * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
 
 def verify_poly_gamma(
@@ -599,12 +647,13 @@ def verify_poly_gamma(
     same nodes, and the two are compared there, as integer cross products
     of their numerators and denominators.  Agreement at all n nodes proves
     the identity for *every* value of x, rational or not; that is
-    ``equal``.  Only then is a polynomial needed: ``rhs_poly`` is
-    interpolated from its values at x = 0, 1, ..., alpha_c, and when the
-    sides agree it is also ``lhs_poly``, since the unique polynomial of
-    degree < n through the left side's n values is then this one.  When
-    they disagree, ``lhs_poly`` is interpolated from the left side's own
-    n values, so a wrong node shows in it.
+    ``equal``.  ``rhs_poly`` needs no interpolation: its monomial
+    coefficients are num / (den alpha_c!) times the cached integer
+    coefficients of (x + 1)...(x + alpha_c).  When the sides agree it is
+    also ``lhs_poly``, since the unique polynomial of degree < n through
+    the left side's n values is then this one.  When they disagree,
+    ``lhs_poly`` is interpolated from the left side's own n values, so a
+    wrong node shows in it.
     """
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
@@ -615,9 +664,14 @@ def verify_poly_gamma(
         inst.gamma[:coordinate] + inst.gamma[coordinate + 1 :],
     )
     num *= 4**inst.s
-    rnums = [num * math.comb(x + alpha_c, alpha_c) for x in range(len(lnums))]
-    equal = all(left * den == right * lden for left, right in zip(lnums, rnums))
-    rhs = _interpolate(rnums[: alpha_c + 1], den)
+    equal = all(
+        left * den == num * math.comb(x + alpha_c, alpha_c) * lden
+        for x, left in enumerate(lnums)
+    )
+    den *= math.factorial(alpha_c)
+    rhs = Poly(
+        (Fraction(num * c, den) for c in _rising_coefficients(alpha_c)), var="gamma"
+    )
     lhs = rhs if equal else _interpolate(lnums, lden)
     return lhs, rhs, equal
 

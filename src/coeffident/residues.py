@@ -129,27 +129,24 @@ def derivative_table(alpha: int) -> DerivativeTable:
     return DerivativeTable(alpha, tuple(Poly(row, var="gamma") for row in prev))
 
 
-@_memoized(maxsize=256)
-def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
-    """[w**alpha] of the exponential core, as a t-series, by direct sum.
+@lru_cache(maxsize=256)
+def _w_residue_numerators(
+    alpha: int, p: int, q: int, order: int
+) -> tuple[tuple[int, ...], int]:
+    """The coefficients of ``w_residue_series(alpha, p/q, order)`` (p/q in
+    lowest terms, q > 0) as integer numerators over one positive
+    denominator, in lowest terms (so that the residue route's products
+    stay small at large order).
 
-    The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!.
-    With gamma = p/q in lowest terms it is an integer over
-    q**(alpha+b) b! alpha!, so over the common denominator
-    q**(alpha+order) order! alpha! its numerator is
+    The b-th coefficient C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!
+    is an integer over q**(alpha+b) b! alpha!, so over the common
+    denominator q**(alpha+order) order! alpha! its numerator is
     w_b * (p + (2b+1)*q)**alpha with
     w_b = prod_{i=1..b} (p + i*q) * q**(order-b) * order!/b!, stepped in
     ints as w_{b+1} = w_b (p + (b+1)*q) / (q (b+1)), an exact division
-    for b < order.  No Fraction is made; the series is brought to lowest
-    terms once.  Costs O(order * alpha) multiplications.  Memoized; the
-    counts are logical work, replayed on cache hits, so callers' cost
-    reports are the same with a cold or a warm cache.
+    for b < order.  The key is ints, so a lookup hashes no Fraction; this
+    kernel counts no ops, its callers do.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    p, q = _as_ratio(gamma)
     den = q ** (alpha + order) * math.factorial(order) * math.factorial(alpha)
     weight = q**order * math.factorial(order)  # w_0
     nums = []
@@ -157,6 +154,27 @@ def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
         nums.append(weight * (p + (2 * b + 1) * q) ** alpha)
         if b < order:
             weight = weight * (p + (b + 1) * q) // (q * (b + 1))
+    common = math.gcd(den, *nums)
+    return tuple([n // common for n in nums]), den // common
+
+
+@_memoized(maxsize=256)
+def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
+    """[w**alpha] of the exponential core, as a t-series, by direct sum.
+
+    The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!,
+    computed in ints by ``_w_residue_numerators``, which the residue route
+    also reads directly; no Fraction is made.  Costs O(order * alpha)
+    multiplications.  Memoized; the counts are logical work, replayed on
+    cache hits, so callers' cost reports are the same with a cold or a
+    warm cache.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    p, q = _as_ratio(gamma)
+    nums, den = _w_residue_numerators(alpha, p, q, order)
     _OPS.count += (order + 1) * (alpha + 4)
     return TSeries._reduced(nums, den, order)
 

@@ -236,28 +236,44 @@ def residue(series: TSeries, m: int) -> Fraction:
     return Fraction(series.nums[m], series.den)
 
 
-@_memoized(maxsize=256)
-def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
-    """The expansion of (1 + c*x)**r to the given order, r any rational.
+@functools.lru_cache(maxsize=256)
+def _binomial_numerators(
+    a: int, b: int, p: int, q: int, order: int
+) -> tuple[tuple[int, ...], int]:
+    """The coefficients of (1 + (a/b)*x)**(p/q) up to x**order (b, q > 0)
+    as integer numerators over one positive denominator, in lowest terms.
 
-    With c = a/b and r = p/q in lowest terms, the x**n coefficient
-    C(r, n) c**n is a**n prod_{i<n} (p - i*q) over (b*q)**n n!.  Over the
-    common denominator (b*q)**order order! its numerator is
-    a**n prod_{i<n} (p - i*q) (b*q)**(order-n) order!/n!, stepped in ints
-    by the incremental ratio binom(r, n)/binom(r, n-1) = (r - n + 1)/n;
-    each division is exact.  The whole series costs O(order)
-    multiplications and makes no Fraction.  Memoized; a cache hit still
-    counts those multiplications.
+    The x**n coefficient C(r, n) c**n is a**n prod_{i<n} (p - i*q) over
+    (b*q)**n n!.  Over the common denominator (b*q)**order order! its
+    numerator is a**n prod_{i<n} (p - i*q) (b*q)**(order-n) order!/n!,
+    stepped in ints by the incremental ratio
+    binom(r, n)/binom(r, n-1) = (r - n + 1)/n; each division is exact.
+    The key is ints, so a lookup hashes no Fraction; this kernel counts
+    no ops, its callers do.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    a, b = _as_ratio(c)
-    p, q = _as_ratio(r)
     bq = b * q
     num = bq**order * math.factorial(order)
     nums = [num]
     for n in range(1, order + 1):
         num = num * a * (p - (n - 1) * q) // (bq * n)
         nums.append(num)
+    common = math.gcd(*nums)
+    return tuple([n // common for n in nums]), nums[0] // common
+
+
+@_memoized(maxsize=256)
+def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
+    """The expansion of (1 + c*x)**r to the given order, r any rational.
+
+    A ``TSeries`` over the integer kernel ``_binomial_numerators``, which
+    the residue route also reads directly.  The whole series costs
+    O(order) multiplications and makes no Fraction.  Memoized; a cache
+    hit still counts those multiplications.
+    """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    a, b = _as_ratio(c)
+    p, q = _as_ratio(r)
+    nums, den = _binomial_numerators(a, b, p, q, order)
     _OPS.count += 2 * order
-    return TSeries._reduced(nums, nums[0], order)
+    return TSeries._reduced(nums, den, order)

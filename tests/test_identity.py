@@ -21,12 +21,13 @@ import coeffident.identity as identity
 from coeffident.algebra import Poly, _over_common_denominator, binomial
 from coeffident.cli import _emit
 from coeffident.residues import (
+    _w_residue_numerators,
     base_t_residue,
     correction_t_residue,
     derivative_table,
     w_residue_series,
 )
-from coeffident.series import binomial_series, coefficient_ops
+from coeffident.series import _binomial_numerators, binomial_series, coefficient_ops
 from coeffident.identity import (
     MAX_JOBS,
     CorrectionInvariantError,
@@ -223,7 +224,11 @@ def test_caches_are_bounded():
         assert cached.cache_info().maxsize is not None, cached
     known = (
         identity._coordinate_factors,
+        identity._node_tables,
+        identity._rising_coefficients,
         identity._leading_binomial,
+        _w_residue_numerators,
+        _binomial_numerators,
         derivative_table,
         w_residue_series,
         base_t_residue,
@@ -742,16 +747,40 @@ def node_cases():
     yield IdentityInstance(s=3, alpha=(5, 2), gamma=(F(0), F(-11, 3))), 0
 
 
+def assert_nodes_are_the_direct_route(inst, i):
+    """Every value of ``_lhs_at_nodes(inst, i)`` is ``lhs_direct`` of the
+    instance with gamma_i pinned at that node, with the node tables' cache
+    cleared and then warm."""
+    identity._node_tables.cache_clear()
+    nums, den = identity._lhs_at_nodes(inst, i)
+    assert identity._lhs_at_nodes(inst, i) == (nums, den)
+    assert len(nums) == inst.s + inst.alpha[i] + 1
+    assert all(type(n) is int for n in nums) and type(den) is int and den > 0
+    for x, num in enumerate(nums):
+        gammas = inst.gamma[:i] + (F(x),) + inst.gamma[i + 1 :]
+        pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=gammas)
+        assert F(num, den) == lhs_direct(pinned)
+
+
 def test_lhs_at_nodes_is_the_direct_route():
     for inst, i in node_cases():
-        nums, den = identity._lhs_at_nodes(inst, i)
-        assert len(nums) == inst.s + inst.alpha[i] + 1
-        assert all(type(n) is int for n in nums) and type(den) is int and den > 0
-        for x, num in enumerate(nums):
-            gammas = list(inst.gamma)
-            gammas[i] = F(x)
-            pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
-            assert F(num, den) == lhs_direct(pinned)
+        assert_nodes_are_the_direct_route(inst, i)
+
+
+@st.composite
+def node_instances(draw):
+    """An instance with s <= 7 and d <= 2, negative and non-integer gammas
+    drawn often, and one of its coordinates."""
+    inst = draw(small_instances(max_s=7, max_d=2))
+    return inst, draw(st.integers(0, inst.d))
+
+
+@given(node_instances())
+@example((IdentityInstance(s=7, alpha=(15,), gamma=(F(-7, 2),)), 0))
+@example((IdentityInstance(s=7, alpha=(0, 15), gamma=(F(5, 3), F(-4))), 0))
+@example((IdentityInstance(s=6, alpha=(4, 0, 9), gamma=(F(-1, 9), F(-6), F(11, 4))), 2))
+def test_lhs_at_nodes_is_the_direct_route_at_drawn_instances(case):
+    assert_nodes_are_the_direct_route(*case)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,12 @@ written out below, gives: the same numerators over the same lowest
 denominator, and for a series the same ``(order, nums, den)`` as
 ``TSeries(fraction_coeffs, order)``.  The direct route's prefix walk,
 ``identity._composition_sums``, must give what a plain enumeration of
-the compositions gives.
+the compositions gives.  The residue route, ``identity.lhs_residue``,
+convolves the integer numerators of the series kernels and must give
+what the product of the public ``TSeries`` gives, at the same op count;
+and the right side's polynomial in ``verify_poly_gamma``, built from the
+coefficients of a rising product, must be the polynomial that the
+earlier code interpolated.
 """
 
 import itertools
@@ -19,8 +24,9 @@ from hypothesis import strategies as st
 
 import coeffident.identity as identity
 from coeffident.algebra import binomial
+from coeffident.identity import IdentityInstance, lhs_residue, rhs_closed, verify
 from coeffident.residues import derivative_table, w_residue_series
-from coeffident.series import TSeries, binomial_series, coefficient_ops
+from coeffident.series import TSeries, binomial_series, coefficient_ops, residue
 
 # gammas: small numerators over denominators up to 10**6, plus the negative
 # integers, where C(b + gamma, b) vanishes from b = -gamma on
@@ -170,3 +176,92 @@ def test_composition_sums_are_the_plain_enumeration(case):
             count += 1
     assert sums == expected
     assert terms == count == math.comb(n + len(tables), len(tables))
+
+
+@st.composite
+def instances(draw, max_s, max_d):
+    """An instance with s <= max_s, d <= max_d and gammas from ``rationals``."""
+    s = draw(st.integers(0, max_s))
+    d = draw(st.integers(0, max_d))
+    cuts = sorted(draw(st.lists(st.integers(0, 2 * s + 1), min_size=d, max_size=d)))
+    alpha = tuple(b - a for a, b in zip((0, *cuts), (*cuts, 2 * s + 1)))
+    gamma = draw(st.lists(rationals, min_size=d + 1, max_size=d + 1))
+    return IdentityInstance(s=s, alpha=alpha, gamma=tuple(gamma))
+
+
+def residue_ops(inst):
+    """The op count of the residue route: the binomial series, each
+    coordinate series and each truncated product."""
+    s = inst.s
+    per_product = (s + 1) * (s + 2) // 2
+    return 2 * s + sum((s + 1) * (a + 4) + per_product for a in inst.alpha)
+
+
+@given(instances(max_s=8, max_d=3))
+@example(IdentityInstance(0, (1,), (F(0),)))
+@example(IdentityInstance(8, (17,), (F(-7, 3),)))
+@example(IdentityInstance(3, (0, 4, 3), (F(-2), F(-5, 2), F(1, 3))))
+@example(IdentityInstance(2, (1, 1, 2, 1), (F(-1), F(-3), F(7, 10**6), F(-999_999, 8))))
+def test_lhs_residue_is_the_tseries_product(inst):
+    s = inst.s
+    before = coefficient_ops()
+    value = lhs_residue(inst)
+    charged = coefficient_ops() - before
+    before = coefficient_ops()
+    acc = binomial_series(-1, inst.top, s)
+    for a, g in zip(inst.alpha, inst.gamma):
+        acc = acc * w_residue_series(a, g, s)
+    assert coefficient_ops() - before == charged == residue_ops(inst)
+    assert type(value) is F
+    assert value == residue(acc, s) == rhs_closed(inst)
+    assert verify(inst).residue_ops == residue_ops(inst)
+
+
+def test_a_wrong_w_numerator_fails_the_residue_route(monkeypatch):
+    # +1 on the last numerator of every coordinate series moves [t**s] by a
+    # sum of positive terms here, so the residue route must disagree
+    real = identity._w_residue_numerators
+
+    def plus_one(alpha, p, q, order):
+        nums, den = real(alpha, p, q, order)
+        return nums[:-1] + (nums[-1] + 1,), den
+
+    monkeypatch.setattr(identity, "_w_residue_numerators", plus_one)
+    report = verify(IdentityInstance(s=2, alpha=(3, 2), gamma=(F(1, 2), F(-2, 3))))
+    assert report.lhs_direct == report.lhs_product == report.rhs
+    assert report.lhs_residue != report.rhs
+    assert report.all_equal is False
+
+
+def closed_basis(a, x):
+    """a! C(x + a, a) for any integer x, from ``math.comb``: for x + a < 0,
+    C(n, a) = (-1)**a C(a - n - 1, a)."""
+    n = x + a
+    if n >= 0:
+        return math.comb(n, a) * math.factorial(a)
+    return (-1) ** a * math.comb(a - n - 1, a) * math.factorial(a)
+
+
+def test_rising_coefficients_are_the_closed_basis():
+    for a in range(21):
+        coeffs = identity._rising_coefficients(a)
+        assert len(coeffs) == a + 1 and coeffs[-1] == 1
+        assert all(type(c) is int for c in coeffs)
+        for x in range(-a - 2, a + 3):
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == closed_basis(a, x)
+
+
+@given(st.integers(0, 12), rationals, rationals)
+@example(5, F(1, 2), F(-1))  # C(gamma + alpha, alpha) = 0 at the other coordinate
+@example(0, F(0), F(3, 7))
+@example(12, F(-7, 3), F(5, 2))
+def test_rhs_poly_is_the_interpolated_closed_form(alpha_c, gamma_c, gamma_o):
+    # the earlier construction, kept as the oracle: the closed right side's
+    # values at x = 0..alpha_c, interpolated
+    inst = IdentityInstance(s=6, alpha=(alpha_c, 13 - alpha_c), gamma=(gamma_c, gamma_o))
+    num, den = identity._binomial_product(inst.alpha[1:], inst.gamma[1:])
+    num *= 4**inst.s
+    values = [num * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)]
+    lhs, rhs, equal = identity.verify_poly_gamma(inst, 0)
+    assert equal and lhs is rhs
+    assert rhs == identity._interpolate(values, den)

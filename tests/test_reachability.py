@@ -37,6 +37,10 @@ ALLOWED_NAMES = {
     # the public direct route; ``verify`` calls its counted form,
     # ``_lhs_direct_counted``
     "lhs_direct",
+    # entered only when the two sides of ``verify --poly-gamma`` disagree,
+    # to build the left side's own polynomial; test_poly_gamma_uses_every_node
+    # and test_verify_poly_gamma_mismatch_exits_1 enter it
+    "_interpolate",
     # keeps _make and _replace from building an instance that skipped
     # validation; the program itself calls neither
     "IdentityInstance._make",
