@@ -45,7 +45,7 @@ from .residues import (
     correction_t_residue,
     derivative_table,
 )
-from .series import _OPS, _binomial_numerators, coefficient_ops
+from .series import _OPS, _binomial_numerators, _convolve, coefficient_ops
 
 __all__ = [
     "InvalidInstance",
@@ -284,9 +284,9 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
     the composition sum implicitly.  The factors are the integer
     numerators of ``binomial_series`` and ``w_residue_series`` (their
     int-keyed kernels, read directly), each truncated product is taken
-    in full to order s on ints, the denominators multiply, and the one
-    Fraction made is the coefficient of t**s.  The ops charged are the
-    ones those kernels and ``TSeries`` multiplication would charge:
+    in full to order s by ``_convolve``, the denominators multiply, and
+    the one Fraction made is the coefficient of t**s.  The ops charged
+    are the ones those kernels and ``TSeries`` multiplication charge:
     2s for the binomial series, (s+1)(alpha_i+4) per coordinate series
     and (s+1)(s+2)/2 per product.
     """
@@ -296,7 +296,7 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
     ops = 2 * s
     for a, g in zip(inst.alpha, inst.gamma):
         nums, w_den = _w_residue_numerators(a, g.numerator, g.denominator, s)
-        acc = [sum(map(operator.mul, acc[: k + 1], nums[k::-1])) for k in range(s + 1)]
+        acc = _convolve(acc, nums, s)
         den *= w_den
         ops += (s + 1) * (a + 4) + (s + 1) * (s + 2) // 2
     _OPS.count += ops
@@ -558,9 +558,7 @@ def _node_tables(alpha_c: int, s: int) -> tuple[tuple[int, ...], ...]:
         table, den = _coordinate_factors(alpha_c, x, 1, s)
         lift = table_den // den
         signed = [(-1) ** k * math.comb(x, k) * lift for k in range(min(x, s) + 1)]
-        tables.append(
-            tuple(sum(map(operator.mul, signed, table[b::-1])) for b in range(s + 1))
-        )
+        tables.append(tuple(_convolve(signed, table, s)))
     return tuple(tables)
 
 
@@ -608,9 +606,7 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     p0, q0 = p0 // common, q0 // common
     weights, scale = _falling_weights(p0, q0, s)
     # reversed, so that a node is one aligned dot product: shifted[b] = A[s - b]
-    shifted = [
-        sum(map(operator.mul, weights[: k + 1], rest[k::-1])) for k in range(s, -1, -1)
-    ]
+    shifted = _convolve(weights, rest, s)[::-1]
     nums = [sum(map(operator.mul, u, shifted)) for u in _node_tables(alpha_c, s)]
     return nums, scale * math.factorial(s) * math.factorial(alpha_c) * rest_den
 

@@ -22,8 +22,9 @@ way, as the term-by-term sum
     sum_b C(b + c, b) * (2b + c + 1)**alpha / alpha! * t**b.
 
 ``base_t_residue`` and ``correction_t_residue`` are the two scalar
-t-extractions the reduced-product route of the identity engine needs:
-the base one always equals 4**s, and the corrections vanish exactly at
+t-extractions the reduced-product route of the identity engine needs,
+both [t**s] (1-t)**a (1+t)**b from one int-keyed cache: the base one
+always equals 4**s, and the corrections vanish exactly at
 even correction index (the coefficient vector of the underlying
 polynomial is palindromic with sign (-1)**(k-1), killing the middle
 coefficient only when that sign is -1).
@@ -32,12 +33,13 @@ coefficient only when that sign is -1).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import Poly, _as_ratio, as_rational
-from .series import TSeries, binomial_series, residue, _memoized, _OPS
+from .series import _OPS, TSeries, _binomial_numerators, _convolve, binomial_series
 
 __all__ = [
     "DerivativeTable",
@@ -158,17 +160,17 @@ def _w_residue_numerators(
     return tuple([n // common for n in nums]), den // common
 
 
-@_memoized(maxsize=256)
 def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
     """[w**alpha] of the exponential core, as a t-series, by direct sum.
 
     The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!,
-    computed in ints by ``_w_residue_numerators``, which the residue route
-    also reads directly; no Fraction is made.  Costs O(order * alpha)
-    multiplications.  Memoized; the counts are logical work, replayed on
-    cache hits, so callers' cost reports are the same with a cold or a
-    warm cache.
+    computed in ints by the cached kernel ``_w_residue_numerators``, which
+    the residue route also reads directly; no Fraction is made.  Every
+    call charges its (order + 1)(alpha + 4) multiplications.  ``alpha``
+    and ``order`` must be ints (``operator.index``).
     """
+    alpha = operator.index(alpha)
+    order = operator.index(order)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if order < 0:
@@ -208,20 +210,31 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
     return base * bracket
 
 
-@_memoized(maxsize=256)
+@lru_cache(maxsize=256)
+def _t_residue(a: int, b: int, s: int) -> Fraction:
+    """[t**s] (1-t)**a (1+t)**b from the full truncated product of the
+    two binomial kernels' numerators.  Counts no ops; its callers do."""
+    a_nums, a_den = _binomial_numerators(-1, 1, a, 1, s)
+    b_nums, b_den = _binomial_numerators(1, 1, b, 1, s)
+    return Fraction(_convolve(a_nums, b_nums, s)[s], a_den * b_den)
+
+
 def base_t_residue(s: int) -> Fraction:
     """[t**s] (1-t)**(-1) (1+t)**(2s+1); equals 4**s.
 
     This is the sum of the first s+1 binomials C(2s+1, j), which is half
-    of 2**(2s+1) by symmetry of the binomial row.
+    of 2**(2s+1) by symmetry of the binomial row.  Every call charges
+    4s + (s+1)(s+2)/2: two binomial series of order s and their product.
+    ``s`` must be an int (``operator.index``): a float would match a
+    cached int key.
     """
+    s = operator.index(s)
     if s < 0:
         raise ValueError("s must be >= 0")
-    ser = binomial_series(-1, -1, s) * binomial_series(1, 2 * s + 1, s)
-    return residue(ser, s)
+    _OPS.count += 4 * s + (s + 1) * (s + 2) // 2
+    return _t_residue(-1, 2 * s + 1, s)
 
 
-@_memoized(maxsize=256)
 def correction_t_residue(s: int, k: int) -> Fraction:
     """[t**s] (1-t)**(k-1) (1+t)**(2s-k+1), for 1 <= k <= 2s.
 
@@ -229,9 +242,12 @@ def correction_t_residue(s: int, k: int) -> Fraction:
     sign (-1)**(k-1), so the middle coefficient extracted here vanishes
     exactly for even k.  Odd k gives a genuinely nonzero value (k = 1
     yields the central binomial C(2s, s)); the product route never asks
-    for odd k because its correction polynomial is even.
+    for odd k because its correction polynomial is even.  Charged and
+    checked as ``base_t_residue`` is, with ``k`` an int too.
     """
+    s = operator.index(s)
+    k = operator.index(k)
     if not 1 <= k <= 2 * s:
         raise ValueError(f"k={k} outside 1..{2 * s} for s={s}")
-    ser = binomial_series(-1, k - 1, s) * binomial_series(1, 2 * s - k + 1, s)
-    return residue(ser, s)
+    _OPS.count += 4 * s + (s + 1) * (s + 2) // 2
+    return _t_residue(k - 1, 2 * s - k + 1, s)

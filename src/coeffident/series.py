@@ -2,16 +2,17 @@
 
 ``TSeries`` is a series in t cut off after an explicit order, held as
 order + 1 integer numerators (zeros kept) over one denominator, so the
-order is part of the value.  It has the operations the routes use:
-sums, scalar multiples, the truncated product and coefficient
-extraction by ``residue``.  ``binomial_series`` expands (1 + c*x)**r
-for any rational r.  The blind bivariate expansion that the tests
+order is part of the value.  It has sums, scalar multiples, the
+truncated product and coefficient extraction by ``residue``.
+``binomial_series`` expands (1 + c*x)**r for any rational r.  The blind bivariate expansion that the tests
 compare the derivative table against, with its inverse and rational
 powers, is in ``tests/oracles.py``, not here.
 
 Everything here is formal: no convergence reasoning, no floats, no
 analytic continuation.  A module-level counter tallies coefficient
 multiplications so callers can report what a computation cost.
+``_convolve`` is the package's one truncated Cauchy product of integer
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -57,44 +58,21 @@ def coefficient_ops() -> int:
     """Running total of coefficient multiplications performed so far.
 
     Callers measure a computation by differencing this before and after.
-    The count is logical work: a memoized kernel replays the count of its
-    first evaluation on every cache hit, so identical computations report
-    identical costs whether the caches are cold or warm.
+    The count is logical work: each counting function charges its
+    closed-form count on every call, and no cache counts, so identical
+    computations report identical costs whether the caches are cold or
+    warm.
     """
     return _OPS.count
 
 
-def _memoized(maxsize: int):
-    """Bounded ``lru_cache`` for a pure kernel that keeps its op count.
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """[t**k] of the product of two integer series, for k = 0..n.
 
-    Each cached result is stored with the ``coefficient_ops`` that its
-    first evaluation charged; the counter is put back after that
-    evaluation, and every call, hit or miss, adds the stored count.
-    ``typed=True`` keeps 1, Fraction(1) and 1.0 apart, so a float
-    argument is never answered from an exact entry and still reaches the
-    kernel's ``as_rational``, which refuses it.
+    ``b`` must reach t**n; ``a`` may be shorter (its tail is zero).
+    Counts no ops; its callers charge them.
     """
-
-    def decorate(kernel):
-        @functools.lru_cache(maxsize=maxsize, typed=True)
-        def evaluate(*args, **kwargs):
-            before = _OPS.count
-            value = kernel(*args, **kwargs)
-            ops = _OPS.count - before
-            _OPS.count = before
-            return value, ops
-
-        @functools.wraps(kernel)
-        def memoized(*args, **kwargs):
-            value, ops = evaluate(*args, **kwargs)
-            _OPS.count += ops
-            return value
-
-        memoized.cache_info = evaluate.cache_info
-        memoized.cache_clear = evaluate.cache_clear
-        return memoized
-
-    return decorate
+    return [sum(map(operator.mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 class TSeries:
@@ -197,10 +175,8 @@ class TSeries:
             if not isinstance(other, TSeries):
                 return NotImplemented
         n = min(self.order, other.order)
-        a = self.nums
-        b = other.nums[n::-1]  # b[n - i] is the t**i numerator
-        out = [sum(map(operator.mul, a[: k + 1], b[n - k :])) for k in range(n + 1)]
         _OPS.count += (n + 1) * (n + 2) // 2
+        out = _convolve(self.nums, other.nums, n)
         return TSeries._reduced(out, self.den * other.den, n)
 
     __rmul__ = __mul__
@@ -261,15 +237,15 @@ def _binomial_numerators(
     return tuple([n // common for n in nums]), nums[0] // common
 
 
-@_memoized(maxsize=256)
 def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
     """The expansion of (1 + c*x)**r to the given order, r any rational.
 
-    A ``TSeries`` over the integer kernel ``_binomial_numerators``, which
-    the residue route also reads directly.  The whole series costs
-    O(order) multiplications and makes no Fraction.  Memoized; a cache
-    hit still counts those multiplications.
+    A ``TSeries`` over the cached integer kernel ``_binomial_numerators``,
+    which the residue route also reads directly.  It makes no Fraction,
+    and every call charges its 2*order multiplications.  ``order`` must
+    be an int (``operator.index``): a float would match a cached int key.
     """
+    order = operator.index(order)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     a, b = _as_ratio(c)

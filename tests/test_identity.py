@@ -11,6 +11,7 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -21,13 +22,20 @@ import coeffident.identity as identity
 from coeffident.algebra import Poly, _over_common_denominator, binomial
 from coeffident.cli import _emit
 from coeffident.residues import (
+    _t_residue,
     _w_residue_numerators,
     base_t_residue,
     correction_t_residue,
     derivative_table,
     w_residue_series,
 )
-from coeffident.series import _binomial_numerators, binomial_series, coefficient_ops
+from coeffident.series import (
+    _binomial_numerators,
+    _convolve,
+    binomial_series,
+    coefficient_ops,
+    residue,
+)
 from coeffident.identity import (
     MAX_JOBS,
     CorrectionInvariantError,
@@ -218,24 +226,28 @@ def clear_caches():
         cached.cache_clear()
 
 
+# Every cache in the package: each is a plain int-keyed lru_cache on a
+# kernel that counts no ops.
+PACKAGE_CACHES = (
+    identity._coordinate_factors,
+    identity._node_tables,
+    identity._rising_coefficients,
+    identity._leading_binomial,
+    _w_residue_numerators,
+    _binomial_numerators,
+    _t_residue,
+    derivative_table,
+)
+
+
 def test_caches_are_bounded():
     caches = package_caches()
     for cached in caches:
         assert cached.cache_info().maxsize is not None, cached
-    known = (
-        identity._coordinate_factors,
-        identity._node_tables,
-        identity._rising_coefficients,
-        identity._leading_binomial,
-        _w_residue_numerators,
-        _binomial_numerators,
-        derivative_table,
-        w_residue_series,
-        base_t_residue,
-        correction_t_residue,
-        binomial_series,
-    )
-    assert all(any(c is k for c in caches) for k in known)
+    # a cache added or removed without updating the list fails here
+    found = {f"{c.__module__}.{c.__qualname__}" for c in caches}
+    listed = {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}
+    assert found == listed
 
 
 def criterion_6_instances():
@@ -259,6 +271,26 @@ def test_reports_do_not_depend_on_cache_state():
         assert untimed(cold) == untimed(warm)
 
 
+def series_t_residue(a, b, s):
+    """[t**s] (1-t)**a (1+t)**b in the public series arithmetic: the value
+    and the op count that the scalar residues' int kernel must match."""
+    return residue(binomial_series(-1, a, s) * binomial_series(1, b, s), s)
+
+
+# each public kernel's private cached kernel, and for the scalar residues
+# the same extraction in TSeries arithmetic
+PRIVATE_KERNEL = {
+    binomial_series: _binomial_numerators,
+    w_residue_series: _w_residue_numerators,
+    base_t_residue: _t_residue,
+    correction_t_residue: _t_residue,
+}
+SERIES_CONSTRUCTION = {
+    base_t_residue: lambda s: series_t_residue(-1, 2 * s + 1, s),
+    correction_t_residue: lambda s, k: series_t_residue(k - 1, 2 * s - k + 1, s),
+}
+
+
 @pytest.mark.parametrize(
     "kernel, args",
     [
@@ -274,15 +306,35 @@ def test_memoized_kernel_charges_the_same_ops_cold_and_warm(kernel, args):
         value = fn(*args)
         return value, coefficient_ops() - ops0
 
-    clear_caches()
-    uncached = charged(kernel.__wrapped__)
+    private = PRIVATE_KERNEL[kernel]
     clear_caches()
     cold = charged(kernel)
-    hits = kernel.cache_info().hits
+    hits = private.cache_info().hits
     warm = charged(kernel)
-    assert kernel.cache_info().hits == hits + 1
-    assert cold == warm == uncached
+    assert private.cache_info().hits == hits + 1
+    assert cold == warm
     assert cold[1] > 0
+    if kernel in SERIES_CONSTRUCTION:
+        clear_caches()
+        assert charged(SERIES_CONSTRUCTION[kernel]) == cold
+
+
+@given(
+    st.lists(st.integers(-50, 50), max_size=6),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+)
+@example([], [3])
+@example([2], [1, 2, 3])
+def test_convolve_is_the_truncated_cauchy_product(a, b):
+    n = len(b) - 1
+    naive = [0] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= n:
+                naive[i + j] += x * y
+    assert _convolve(a, b, n) == naive
+    for m in range(n + 1):
+        assert _convolve(a, b, m) == naive[: m + 1]
 
 
 # --- the four routes ----------------------------------------------------------------
@@ -414,6 +466,64 @@ def test_right_side_does_not_share_the_leading_binomials(inst):
     assert report.lhs_product != report.rhs
     assert report.all_equal is False
     assert report.rhs == report.lhs_direct == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+
+
+# The package functions that two sides of the identity both enter, with
+# cold caches and a fresh instance per side.  Anything else they share is
+# a common point of failure that could make two routes agree wrongly.
+SHARED_CODE = {
+    # the left side's binomial top d + sum(alpha) + sum(gamma), summed over
+    # the gammas' common denominator (IdentityInstance.top and .d)
+    ("lhs_direct", "lhs_residue"): {"_over_common_denominator", "top", "d"},
+    # the product route puts its scalar residues over one denominator
+    ("lhs_direct", "lhs_product"): {"_over_common_denominator"},
+    # the binomial numerators of (1-t)**a and (1+t)**b, and the truncated
+    # Cauchy product: the residue route's extraction, and the scalar
+    # residues base_t_residue and correction_t_residue of the product route
+    ("lhs_residue", "lhs_product"): {
+        "_over_common_denominator",
+        "_binomial_numerators",
+        "_convolve",
+    },
+}
+
+
+def entered_package_functions(side, inst):
+    """The names of the package functions that ``side(inst)`` enters, with
+    cold caches and a fresh instance; comprehensions count as part of the
+    function that holds them."""
+    package = str(Path(coeffident.__file__).parent)
+    clear_caches()
+    fresh = IdentityInstance(*inst)
+    names = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package) and not code.co_name.startswith("<"):
+            names.add(code.co_name)
+
+    sys.settrace(tracer)
+    try:
+        side(fresh)
+    finally:
+        sys.settrace(None)
+    return names
+
+
+def test_sides_share_only_the_listed_functions():
+    sides = (lhs_direct, lhs_residue, lhs_product, rhs_closed)
+    shared = {}
+    for inst in (
+        IdentityInstance(s=0, alpha=(1,), gamma=(F(0),)),
+        IdentityInstance(s=2, alpha=(2, 3), gamma=(F(1, 2), F(-2, 3))),
+        IdentityInstance(s=3, alpha=(4, 0, 3), gamma=(F(1), F(5, 2), F(-7))),
+    ):
+        entered = {side.__name__: entered_package_functions(side, inst) for side in sides}
+        for a, b in itertools.combinations(entered, 2):
+            shared.setdefault((a, b), set()).update(entered[a] & entered[b])
+    # a listed function that is no longer shared fails too, so the list
+    # (and the README's claim) cannot go stale
+    assert {pair: names for pair, names in shared.items() if names} == SHARED_CODE
 
 
 def test_verify_looks_up_the_derivative_table_once_per_weight():

@@ -15,9 +15,13 @@ cache miss is seen.
 
 Every allowed name must name a package function that the run did not
 enter; an allowance that no longer names one, or whose function is now
-entered, fails the test, so the list cannot go stale.
+entered, fails the test, so the list cannot go stale.  The names kept
+only for the benchmark's replay must still be used by it: a second test
+reads ``benchmarks/spans.py`` (without running it) and fails when the
+replay stops using one, so that name can be deleted.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -25,15 +29,15 @@ import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
+REPLAY = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
+# Kept only because the benchmark's replay uses them: it sums the direct
+# route per j with ``inner_sum`` and ``binomial``, reads the product
+# route's correction polynomial with ``Poly.degree``, and extracts the
+# residue route's coefficient with ``residue``.
+BENCHMARK_ONLY = {"binomial", "inner_sum", "Poly.degree", "residue"}
 # Kept although neither a subcommand nor a witness enters them.
-ALLOWED_NAMES = {
-    # the benchmark's replay calls them: it sums the direct route per j
-    # with ``inner_sum`` and ``binomial``, and reads the product route's
-    # correction polynomial with ``Poly.degree``
-    "binomial",
-    "inner_sum",
-    "Poly.degree",
+ALLOWED_NAMES = BENCHMARK_ONLY | {
     # the public direct route; ``verify`` calls its counted form,
     # ``_lhs_direct_counted``
     "lhs_direct",
@@ -157,3 +161,30 @@ def test_every_function_is_reached():
     dunders = {name.rsplit(".", 1)[-1] for name in qualnames(result["never"])}
     stale = sorted(ALLOWED_DUNDERS - dunders)
     assert stale == [], "allowed dunders that every run enters: " + ", ".join(stale)
+
+
+def test_benchmark_only_names_are_used_by_the_replay():
+    tree = ast.parse(REPLAY.read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coeffident")
+        for alias in node.names
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+    def used(name):
+        # a function is imported from the package and called; a method or
+        # property is read from an imported class
+        owner, _, member = name.rpartition(".")
+        if owner:
+            return owner in imported and member in attributes
+        return name in imported and name in called
+
+    unused = sorted(name for name in BENCHMARK_ONLY if not used(name))
+    assert unused == [], "kept for the replay, which no longer uses: " + ", ".join(unused)

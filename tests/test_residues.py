@@ -219,10 +219,22 @@ def test_palindromic_antisymmetry_small():
 
 
 def test_floats_are_refused_after_a_warm_hit():
-    # the exact entries are cached first; a float key must not reach them
+    # the exact entries are cached first; a float argument must not reach
+    # them, and the int parameters (alpha, order, s, k) equal a cached int
+    # key as floats, so they are refused before any cache
     w_residue_series(2, 1, 3)
     binomial_series(-1, 2, 3)
-    with pytest.raises(TypeError):
-        w_residue_series(2, 1.0, 3)
-    with pytest.raises(TypeError):
-        binomial_series(-1, 2.0, 3)
+    base_t_residue(2)
+    correction_t_residue(2, 2)
+    for call in (
+        lambda: w_residue_series(2, 1.0, 3),
+        lambda: binomial_series(-1, 2.0, 3),
+        lambda: w_residue_series(2.0, 1, 3),
+        lambda: w_residue_series(2, 1, 3.0),
+        lambda: binomial_series(-1, 2, 3.0),
+        lambda: base_t_residue(2.0),
+        lambda: correction_t_residue(2.0, 2),
+        lambda: correction_t_residue(2, 2.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
