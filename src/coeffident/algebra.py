@@ -3,9 +3,9 @@
 The scalar domain for the whole package is ``fractions.Fraction``:
 arbitrary precision, always in lowest terms with positive denominator, so
 equality is bit-exact.  Floats are refused everywhere they could sneak in.
-``Poly`` adds dense univariate polynomials over that domain, used both for
-coefficient tables in a formal parameter and for certifying an identity as
-a *polynomial* identity rather than a numerical coincidence.
+``Poly`` adds dense univariate polynomials over that domain; the package
+returns them only from ``verify_poly_gamma``, which certifies an identity
+as a *polynomial* identity rather than a numerical coincidence.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ def as_rational(value: Scalar) -> Fraction:
     """
     if type(value) is Fraction:
         return value
+    _refuse_float(value)
+    return Fraction(value)
+
+
+def _refuse_float(value) -> None:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an exact Fraction instead")
-    return Fraction(value)
 
 
 def _as_ratio(value: Scalar) -> tuple[int, int]:
@@ -83,8 +87,10 @@ def binomial(x: Scalar, b: int) -> Fraction:
 
     Computed as prod_{i=0}^{b-1} (x - i) / b!, the degree-b polynomial
     extension of the integer binomial: for integers 0 <= x < b the product
-    contains a zero factor, and b < 0 gives 0 outright.
+    contains a zero factor, and b < 0 gives 0 outright.  A float on top
+    is refused, as ``as_rational`` refuses it.
     """
+    _refuse_float(x)
     if b < 0:
         return Fraction(0)
     acc = Fraction(1)
@@ -164,7 +170,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Horner evaluation; the argument may be any ring element."""
+        """Horner evaluation; the argument may be any ring element but a
+        float, which is refused as ``as_rational`` refuses it."""
+        _refuse_float(x)
         result = Fraction(0)
         for c in reversed(self.coeffs):
             result = result * x + c

@@ -367,10 +367,11 @@ def _run_sweep(cfg: CliConfig, out: IO[str]) -> int:
 def _run_lemma2(cfg: CliConfig, out: IO[str]) -> int:
     table = derivative_table(cfg.alpha_value)
     inv_fact = Fraction(1, math.factorial(cfg.alpha_value))
-    record = table.to_json_dict()
-    record["weights"] = [
-        [str(c * inv_fact) for c in entry.coeffs] for entry in table.entries[1:]
-    ]
+    record = {
+        "alpha": table.alpha,
+        "entries": [[str(c) for c in row] for row in table.entries],
+        "weights": [[str(c * inv_fact) for c in row] for row in table.entries[1:]],
+    }
     records = [record]
     if cfg.format == "csv":
         # one CSV row per table row; row 0 has no weight

@@ -250,6 +250,7 @@ def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     """The inner sum S_j: compositions of s-j across the coordinates."""
+    j = operator.index(j)
     if not 0 <= j <= inst.s:
         raise ValueError(f"j={j} outside 0..{inst.s}")
     tables, den = _instance_tables(inst)
@@ -318,9 +319,14 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     2 * sum(alpha_i//2) <= 2s, and constant term 1.  At gamma_i = p/q the
     factor's numerators over the scale q**alpha_i alpha_i! are that scale
     at u**0 and the integer ``scaled_row(k, p, q)`` at u**(2k), reduced by
-    their gcd.  The table is looked up once per weight.  The factors are
-    multiplied by integer convolution, and the denominators multiply; no
-    Fraction is made.
+    their gcd.  The factors are multiplied by integer convolution, and the
+    denominators multiply; no Fraction is made.
+
+    The table is looked up once per weight, not once per coordinate: the
+    benchmark's traced replay makes the same lookups and checks the
+    table's hit ratio against the untraced run.
+    ``test_verify_looks_up_the_derivative_table_once_per_weight`` pins the
+    count until ROADMAP item 3 replaces the replay with the program's meter.
     """
     nums, den = [1], 1
     for a, g in zip(inst.alpha, inst.gamma):
@@ -611,17 +617,6 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     return nums, scale * math.factorial(s) * math.factorial(alpha_c) * rest_den
 
 
-@lru_cache(maxsize=256)
-def _rising_coefficients(a: int) -> tuple[int, ...]:
-    """The integer monomial coefficients of (x + 1)(x + 2)...(x + a),
-    lowest power first: a! C(x + a, a) as a polynomial in x."""
-    coeffs = [1]
-    for k in range(1, a + 1):
-        # coeffs <- coeffs * (x + k)
-        coeffs = [k * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
-
-
 def verify_poly_gamma(
     inst: IdentityInstance, coordinate: int
 ) -> tuple[Poly, Poly, bool]:
@@ -644,13 +639,15 @@ def verify_poly_gamma(
     of their numerators and denominators.  Agreement at all n nodes proves
     the identity for *every* value of x, rational or not; that is
     ``equal``.  ``rhs_poly`` needs no interpolation: its monomial
-    coefficients are num / (den alpha_c!) times the cached integer
-    coefficients of (x + 1)...(x + alpha_c).  When the sides agree it is
+    coefficients are num / (den alpha_c!) times the integer coefficients
+    of (x + 1)...(x + alpha_c), which is row 0 of
+    ``derivative_table(alpha_c)``.  When the sides agree it is
     also ``lhs_poly``, since the unique polynomial of degree < n through
     the left side's n values is then this one.  When they disagree,
     ``lhs_poly`` is interpolated from the left side's own n values, so a
     wrong node shows in it.
     """
+    coordinate = operator.index(coordinate)
     if not 0 <= coordinate <= inst.d:
         raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
     alpha_c = inst.alpha[coordinate]
@@ -665,9 +662,8 @@ def verify_poly_gamma(
         for x, left in enumerate(lnums)
     )
     den *= math.factorial(alpha_c)
-    rhs = Poly(
-        (Fraction(num * c, den) for c in _rising_coefficients(alpha_c)), var="gamma"
-    )
+    rising = derivative_table(alpha_c).entries[0]  # (x + 1)...(x + alpha_c)
+    rhs = Poly((Fraction(num * c, den) for c in rising), var="gamma")
     lhs = rhs if equal else _interpolate(lnums, lden)
     return lhs, rhs, equal
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import Poly, _as_ratio, as_rational
+from .algebra import _as_ratio, as_rational
 from .series import _OPS, TSeries, _binomial_numerators, _convolve, binomial_series
 
 __all__ = [
@@ -59,24 +59,24 @@ class DerivativeTable(NamedTuple):
         sum_{k=0}^{alpha//2} entries[k](c) * f**(-c-1-alpha+2k) * g**(alpha-2k)
 
     with f, g as in the module docstring.  entries[0] is the rising
-    factorial (c+1)(c+2)...(c+alpha); every row is a polynomial in c
-    with integer coefficients.
+    factorial (c+1)(c+2)...(c+alpha); every row is a polynomial in c, a
+    tuple of its integer coefficients, lowest degree first.
     """
 
     alpha: int
-    entries: tuple[Poly, ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def scaled_row(self, k: int, p: int, q: int) -> int:
         """q**alpha * entries[k](p/q), an integer for q > 0.
 
-        Row k has integer coefficients c_i and degree at most alpha - k,
-        so the value is sum_i c_i p**i q**(alpha - i), which Horner's
-        scheme computes in ints.
+        Row k has integer coefficients c_i and degree alpha - k, so the
+        value is sum_i c_i p**i q**(alpha - i), which Horner's scheme
+        computes in ints.
         """
-        row = self.entries[k].coeffs
+        row = self.entries[k]
         value, qpow = 0, q ** (self.alpha - len(row) + 1)
         for c in reversed(row):
-            value = value * p + c.numerator * qpow
+            value = value * p + c * qpow
             qpow *= q
         return value
 
@@ -86,12 +86,6 @@ class DerivativeTable(NamedTuple):
         return Fraction(
             self.scaled_row(k, p, q), q**self.alpha * math.factorial(self.alpha)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "entries": [[str(c) for c in e.coeffs] for e in self.entries],
-        }
 
 
 @lru_cache(maxsize=256)
@@ -105,9 +99,9 @@ def derivative_table(alpha: int) -> DerivativeTable:
     at level a + 1 (the first term from differentiating the f-power,
     the second from g' = -f turning a g into an f and bumping k).  The
     levels are stepped through in a loop from level 0, so any alpha
-    works without recursion.  The rows stay integer coefficient lists
-    (lowest degree first) throughout and become ``Poly`` once, at the
-    end.
+    works without recursion.  Row k has degree exactly alpha - k: its
+    leading coefficient has the sign (-1)**k at every level, as each step
+    adds to it -(a - 2k + 2) <= -1 times row k-1's, of the other sign.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -128,7 +122,7 @@ def derivative_table(alpha: int) -> DerivativeTable:
                     acc[i] -= drop * p
             entries.append(acc)
         prev = entries
-    return DerivativeTable(alpha, tuple(Poly(row, var="gamma") for row in prev))
+    return DerivativeTable(alpha, tuple(map(tuple, prev)))
 
 
 @lru_cache(maxsize=256)

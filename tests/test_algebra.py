@@ -62,6 +62,19 @@ def test_as_rational_rejects_floats():
         as_rational(1.0)
 
 
+def test_binomial_and_poly_evaluation_refuse_floats():
+    with pytest.raises(TypeError, match="refusing float"):
+        binomial(0.5, 2)
+    with pytest.raises(TypeError, match="refusing float"):
+        binomial(0.5, -1)
+    with pytest.raises(TypeError, match="refusing float"):
+        Poly([1, 1])(0.5)
+    # int and Fraction arguments keep their exact results
+    assert binomial(5, 2) == 10 and type(binomial(5, 2)) is F
+    assert Poly([1, 1])(F(1, 2)) == F(3, 2)
+    assert Poly([1, 1])(2) == 3 and type(Poly([1, 1])(2)) is F
+
+
 def test_as_rational_returns_an_exact_fraction_unchanged():
     q = F(3, 7)
     assert as_rational(q) is q

@@ -406,12 +406,20 @@ def test_sweep_parallel_stream_matches_serial(capsys):
 
 
 def test_lemma2_json(capsys):
+    # the whole record, keys in order: the table's alpha and integer rows,
+    # then the weights of rows k >= 1
+    code, lines, _ = run_lines(capsys, ["lemma2", "--alpha", "0"])
+    assert code == 0
+    assert lines == ['{"alpha":0,"entries":[["1"]],"weights":[]}']
     code, lines, _ = run_lines(capsys, ["lemma2", "--alpha", "3"])
     assert code == 0
     record = json.loads(lines[0])
-    assert record["alpha"] == 3
-    assert record["entries"] == [["6", "11", "6", "1"], ["-5", "-8", "-3"]]
-    assert record["weights"] == [["-5/6", "-4/3", "-1/2"]]
+    assert list(record) == ["alpha", "entries", "weights"]
+    assert record == {
+        "alpha": 3,
+        "entries": [["6", "11", "6", "1"], ["-5", "-8", "-3"]],
+        "weights": [["-5/6", "-4/3", "-1/2"]],
+    }
 
 
 def test_lemma2_csv(capsys):

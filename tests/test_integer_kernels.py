@@ -10,9 +10,9 @@ denominator, and for a series the same ``(order, nums, den)`` as
 the compositions gives.  The residue route, ``identity.lhs_residue``,
 convolves the integer numerators of the series kernels and must give
 what the product of the public ``TSeries`` gives, at the same op count;
-and the right side's polynomial in ``verify_poly_gamma``, built from the
-coefficients of a rising product, must be the polynomial that the
-earlier code interpolated.
+and the right side's polynomial in ``verify_poly_gamma``, built from row
+0 of the derivative table (the rising product), must be the polynomial
+that the earlier code interpolated.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import coeffident.identity as identity
-from coeffident.algebra import binomial
+from coeffident.algebra import Poly, binomial
 from coeffident.identity import IdentityInstance, lhs_residue, rhs_closed, verify
 from coeffident.residues import derivative_table, w_residue_series
 from coeffident.series import TSeries, binomial_series, coefficient_ops, residue
@@ -147,8 +147,8 @@ def test_scaled_row_is_the_row_at_p_over_q(alpha, g):
     for k, row in enumerate(table.entries):
         value = table.scaled_row(k, p, q)
         assert type(value) is int
-        assert value == q**alpha * row(g)
-        assert table.weight(k, g) == row(g) / math.factorial(alpha)
+        assert value == q**alpha * Poly(row)(g)
+        assert table.weight(k, g) == Poly(row)(g) / math.factorial(alpha)
 
 
 @st.composite
@@ -243,8 +243,10 @@ def closed_basis(a, x):
 
 
 def test_rising_coefficients_are_the_closed_basis():
+    # row 0 of the derivative table, which verify_poly_gamma's right side
+    # is built from, is (x + 1)...(x + a)
     for a in range(21):
-        coeffs = identity._rising_coefficients(a)
+        coeffs = derivative_table(a).entries[0]
         assert len(coeffs) == a + 1 and coeffs[-1] == 1
         assert all(type(c) is int for c in coeffs)
         for x in range(-a - 2, a + 3):

@@ -107,9 +107,9 @@ for alpha in range(4):
         sys.exit(f"witnesses disagree at alpha = {alpha}")
 table = derivative_table(3)
 x = Poly.indeterminate()
-if table.entries[0] != (x + 1) * (x + 2) * (x + 3):
+if Poly(table.entries[0]) != (x + 1) * (x + 2) * (x + 3):
     sys.exit("derivative-table row 0 is not the rising factorial, in Poly arithmetic")
-if table.entries[1](Fraction(1, 2)) / 6 != table.weight(1, Fraction(1, 2)):
+if Poly(table.entries[1])(Fraction(1, 2)) / 6 != table.weight(1, Fraction(1, 2)):
     sys.exit("derivative-table row evaluated as a Poly")
 sys.settrace(None)
 
