@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from coeffident.algebra import Poly
+from coeffident.cli import main
 from coeffident.residues import (
     base_t_residue,
     correction_t_residue,
@@ -78,6 +80,18 @@ def test_table_row_count_and_integrality():
 def test_table_rejects_negative_alpha():
     with pytest.raises(ValueError):
         derivative_table(-1)
+
+
+def test_table_json_dict(capsys):
+    # the table as lemma2 writes it: alpha, then the integer rows as strings
+    assert main(["lemma2", "--alpha", "3"]) == 0
+    d = json.loads(capsys.readouterr().out.splitlines()[0])
+    table = derivative_table(3)
+    assert {k: d[k] for k in ("alpha", "entries")} == {
+        "alpha": table.alpha,
+        "entries": [[str(c) for c in row] for row in table.entries],
+    }
+    assert d["entries"] == [["6", "11", "6", "1"], ["-5", "-8", "-3"]]
 
 
 # --- correction weights -----------------------------------------------------
