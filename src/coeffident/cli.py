@@ -300,10 +300,6 @@ def _help(sub: str | None) -> str:
     return "\n".join(page)
 
 
-# Record keys whose value false means a route disagreed (exit status 1).
-_VERDICTS = ("all_equal", "poly_equal")
-
-
 def _cell(key: str, value) -> str:
     """One CSV cell: booleans as true/false, lists joined (alpha and gamma
     with commas, everything else with semicolons), the rest as str."""
@@ -323,11 +319,13 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
     """Write records one per line: compact JSON, or CSV under a header of
     the first record's keys.  Returns the exit status: 1 if some record
-    holds a false verdict, else 0."""
+    holds a false verdict (``all_equal`` or ``poly_equal``: a route
+    disagreed), else 0."""
     ok = True
     writer = None
     for record in records:
-        ok = ok and all(record.get(key, True) for key in _VERDICTS)
+        if not (record.get("all_equal", True) and record.get("poly_equal", True)):
+            ok = False
         if fmt == "json":
             out.write(_encode_json(record) + "\n")
             continue

@@ -24,8 +24,9 @@ The left side is evaluated three independent ways:
                       one base residue plus even-index corrections
                       weighted by a correction polynomial.
 
-All three must equal ``rhs_closed`` exactly -- Fraction equality, no
-tolerances -- on every valid instance.
+All three must equal ``rhs_closed`` exactly -- rational equality, no
+tolerances -- on every valid instance.  ``verify`` decides it on integer
+(numerator, denominator) pairs by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ import math
 import operator
 import time
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import Poly, _over_common_denominator, as_rational
+from .algebra import Poly, as_rational
 from .residues import (
     _w_residue_numerators,
     base_t_residue,
@@ -94,15 +95,20 @@ class IdentityInstance(_InstanceFields):
     must be exact rationals, and sum(alpha) must equal 2s+1 (the identity
     is not claimed outside that hypothesis).  ``_make``, and so
     ``_replace``, construct through the same checks.
+
+    Construction also computes, once, the integer pairs the routes read:
+    each gamma's numerator and denominator, and the binomial top
+    d + sum(alpha) + sum(gamma), all in lowest terms.  They are no
+    fields, so equality, hashing and pickling see only s, alpha and gamma.
     """
 
     def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
         try:
             s = operator.index(s)
-            alpha = tuple(operator.index(a) for a in alpha)
+            alpha = tuple(map(operator.index, alpha))
         except TypeError as exc:
             raise InvalidInstance(f"s and alpha must be integers: {exc}") from None
-        gamma = tuple(as_rational(g) for g in gamma)
+        gamma = tuple(map(as_rational, gamma))
         if s < 0:
             raise InvalidInstance("s must be >= 0")
         if not alpha:
@@ -111,14 +117,30 @@ class IdentityInstance(_InstanceFields):
             raise InvalidInstance(
                 f"alpha and gamma lengths differ: {len(alpha)} vs {len(gamma)}"
             )
-        if any(a < 0 for a in alpha):
+        if min(alpha) < 0:
             raise InvalidInstance("alpha coordinates must be >= 0")
-        if sum(alpha) != 2 * s + 1:
+        total = sum(alpha)
+        if total != 2 * s + 1:
             raise InvalidInstance(
-                f"sum(alpha) = {sum(alpha)} but the hypothesis needs "
-                f"2s+1 = {2 * s + 1}"
+                f"sum(alpha) = {total} but the hypothesis needs 2s+1 = {2 * s + 1}"
             )
-        return super().__new__(cls, s, alpha, gamma)
+        self = super().__new__(cls, s, alpha, gamma)
+        # the top d + sum(alpha) + sum(gamma) as num/den, den the gammas'
+        # least common denominator; reduced by one gcd at the end
+        num, den = len(alpha) - 1 + total, 1
+        pairs = []
+        for g in gamma:
+            p, q = g.numerator, g.denominator
+            pairs.append((p, q))
+            if den % q:
+                lcm = math.lcm(den, q)
+                num *= lcm // den
+                den = lcm
+            num += p * (den // q)
+        common = math.gcd(num, den)
+        self._gamma_pairs = tuple(pairs)
+        self._top_pair = (num // common, den // common)
+        return self
 
     @classmethod
     def _make(cls, iterable) -> IdentityInstance:
@@ -129,14 +151,11 @@ class IdentityInstance(_InstanceFields):
         """Number of coordinates minus one."""
         return len(self.alpha) - 1
 
-    @cached_property
+    @property
     def top(self) -> Fraction:
         """The left side's binomial top d + sum(alpha) + sum(gamma),
-        computed once per instance: the gammas are summed as integer
-        numerators over their common denominator, and the one Fraction
-        made is the result."""
-        nums, den = _over_common_denominator(self.gamma)
-        return Fraction((self.d + sum(self.alpha)) * den + sum(nums), den)
+        made from the integer pair computed at construction."""
+        return Fraction(*self._top_pair)
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -192,8 +211,8 @@ def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int
     denominators: the denominator of each composition product."""
     tables = []
     den = 1
-    for a, g in zip(inst.alpha, inst.gamma):
-        nums, table_den = _coordinate_factors(a, g.numerator, g.denominator, inst.s)
+    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
+        nums, table_den = _coordinate_factors(a, p, q, inst.s)
         tables.append(nums)
         den *= table_den
     return tables, den
@@ -257,28 +276,28 @@ def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     return Fraction(_composition_sums(tables, inst.s - j)[0][-1], den)
 
 
-def _lhs_direct_counted(inst: IdentityInstance) -> tuple[Fraction, int]:
-    """The direct left side, and the number of compositions summed."""
+def _lhs_direct_counted(inst: IdentityInstance) -> tuple[tuple[int, int], int]:
+    """The direct left side as an integer numerator and positive
+    denominator (not reduced), and the number of compositions summed."""
     tables, den = _instance_tables(inst)
     sums, terms = _composition_sums(tables, inst.s)
-    top = inst.top
     # the alternating j-sum: S_j is sums[s - j]
-    weights, scale = _falling_weights(top.numerator, top.denominator, inst.s)
-    total = sum(map(operator.mul, weights, reversed(sums)))
-    return Fraction(total, scale * den), terms
+    weights, scale = _falling_weights(*inst._top_pair, inst.s)
+    return (sum(map(operator.mul, weights, reversed(sums))), scale * den), terms
 
 
 def lhs_direct(inst: IdentityInstance) -> Fraction:
     """Left side by literal summation."""
-    return _lhs_direct_counted(inst)[0]
+    return Fraction(*_lhs_direct_counted(inst)[0])
 
 
 # ---------------------------------------------------------------------------
 # residue route
 
 
-def lhs_residue(inst: IdentityInstance) -> Fraction:
-    """Left side as one coefficient extraction.
+def _lhs_residue_pair(inst: IdentityInstance) -> tuple[int, int]:
+    """Left side as one coefficient extraction, as an integer numerator
+    and positive denominator (not reduced).
 
     The alternating j-sum is [t**s] (1-t)**(d + sum(alpha+gamma)) times
     the product of the coordinate series; the Cauchy product performs
@@ -286,22 +305,26 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
     numerators of ``binomial_series`` and ``w_residue_series`` (their
     int-keyed kernels, read directly), each truncated product is taken
     in full to order s by ``_convolve``, the denominators multiply, and
-    the one Fraction made is the coefficient of t**s.  The ops charged
+    the coefficient of t**s is the numerator.  The ops charged
     are the ones those kernels and ``TSeries`` multiplication charge:
     2s for the binomial series, (s+1)(alpha_i+4) per coordinate series
     and (s+1)(s+2)/2 per product.
     """
     s = inst.s
-    top = inst.top
-    acc, den = _binomial_numerators(-1, 1, top.numerator, top.denominator, s)
+    acc, den = _binomial_numerators(-1, 1, *inst._top_pair, s)
     ops = 2 * s
-    for a, g in zip(inst.alpha, inst.gamma):
-        nums, w_den = _w_residue_numerators(a, g.numerator, g.denominator, s)
+    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
+        nums, w_den = _w_residue_numerators(a, p, q, s)
         acc = _convolve(acc, nums, s)
         den *= w_den
         ops += (s + 1) * (a + 4) + (s + 1) * (s + 2) // 2
     _OPS.count += ops
-    return Fraction(acc[s], den)
+    return acc[s], den
+
+
+def lhs_residue(inst: IdentityInstance) -> Fraction:
+    """Left side as one coefficient extraction (``_lhs_residue_pair``)."""
+    return Fraction(*_lhs_residue_pair(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +352,10 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     count until ROADMAP item 3 replaces the replay with the program's meter.
     """
     nums, den = [1], 1
-    for a, g in zip(inst.alpha, inst.gamma):
+    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
         half = a // 2
         if half == 0:
             continue
-        p, q = g.numerator, g.denominator
         factor = [0] * (2 * half + 1)
         factor[0] = q**a * math.factorial(a)
         for k in range(1, half + 1):
@@ -352,8 +374,9 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     return nums, den
 
 
-def lhs_product(inst: IdentityInstance) -> Fraction:
-    """Left side by the reduced product.
+def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
+    """Left side by the reduced product, as an integer numerator and
+    positive denominator (not reduced).
 
     After substituting the closed forms, the (1-t) exponents across all
     factors sum to -1 and the (1+t) exponents to 2s+1, so the extraction
@@ -362,8 +385,8 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     binomial prefactors come out in front.  The correction polynomial's
     weights are evaluated from the derivative table's integer rows by
     Horner's scheme in ints, and the binomial prefactors are integer
-    rising products; the invariants are checked, and the sum is taken,
-    on the integer numerators, and the result is the one Fraction made.
+    rising products; the invariants are checked, and the sum of the
+    weighted residues is taken, on integer numerators.
     """
     nums, den = _correction_numerators(inst)
     degree = len(nums) - 1
@@ -381,16 +404,23 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
         raise CorrectionInvariantError(
             f"correction polynomial has nonzero odd powers of u: {odd}"
         )
-    weights = [den]
-    residues = [base_t_residue(inst.s)]
+    # den * base + sum_k nums[k] * correction_k, over the residues'
+    # common denominator rden
+    base = base_t_residue(inst.s)
+    total, rden = den * base.numerator, base.denominator
     for k in range(2, degree + 1, 2):
         if nums[k]:
-            weights.append(nums[k])
-            residues.append(correction_t_residue(inst.s, k))
-    rnums, rden = _over_common_denominator(residues)
+            r = correction_t_residue(inst.s, k)
+            r_den = r.denominator
+            total = total * r_den + nums[k] * r.numerator * rden
+            rden *= r_den
     lead_num, lead_den = _leading_product(inst)
-    total = sum(map(operator.mul, weights, rnums))
-    return Fraction(total * lead_num, den * rden * lead_den)
+    return total * lead_num, den * rden * lead_den
+
+
+def lhs_product(inst: IdentityInstance) -> Fraction:
+    """Left side by the reduced product (``_lhs_product_pair``)."""
+    return Fraction(*_lhs_product_pair(inst))
 
 
 @lru_cache(maxsize=256)
@@ -412,8 +442,8 @@ def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
     """prod_i C(gamma_i + alpha_i, alpha_i) as an integer numerator and
     denominator (not reduced)."""
     num = den = 1
-    for a, g in zip(inst.alpha, inst.gamma):
-        lead_num, lead_den = _leading_binomial(a, g.numerator, g.denominator)
+    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
+        lead_num, lead_den = _leading_binomial(a, p, q)
         num *= lead_num
         den *= lead_den
     return num, den
@@ -434,10 +464,18 @@ def _binomial_product(
     return num, den
 
 
+def _rhs_closed_pair(inst: IdentityInstance) -> tuple[int, int]:
+    """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i),
+    as an integer numerator and positive denominator (not reduced).  It
+    reads the gamma Fractions itself, not the instance's integer pairs,
+    which the routes read."""
+    num, den = _binomial_product(inst.alpha, inst.gamma)
+    return 4**inst.s * num, den
+
+
 def rhs_closed(inst: IdentityInstance) -> Fraction:
     """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i)."""
-    num, den = _binomial_product(inst.alpha, inst.gamma)
-    return Fraction(4**inst.s * num, den)
+    return Fraction(*_rhs_closed_pair(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +487,8 @@ class VerificationReport(NamedTuple):
 
     Equality of the four values is the verdict; timings are wall-clock
     microseconds and purely informational (they are the one part of a
-    report allowed to differ between identical runs).
+    report allowed to differ between identical runs).  When ``verify``
+    finds the four values equal, the four fields hold one Fraction.
     """
 
     instance: IdentityInstance
@@ -469,8 +508,10 @@ class VerificationReport(NamedTuple):
     def to_json_dict(self) -> dict:
         """The report as a record, derived from its fields: ``instance``
         expands to s, d, alpha, gamma, a Fraction becomes its ``str``, and
-        every other value passes through."""
+        every other value passes through.  A Fraction that is the same
+        object as the field before it is spelled once."""
         record = {}
+        last = text = None
         for name, value in zip(self._fields, self):
             # exact type tests: isinstance on a non-Fraction goes through
             # ABCMeta.__instancecheck__, and fields hold no subclasses
@@ -480,40 +521,60 @@ class VerificationReport(NamedTuple):
                 record["alpha"] = list(value.alpha)
                 record["gamma"] = [str(g) for g in value.gamma]
             elif type(value) is Fraction:
-                record[name] = str(value)
+                if value is not last:
+                    last, text = value, str(value)
+                record[name] = text
             else:
                 record[name] = value
         return record
 
 
 def verify(inst: IdentityInstance) -> VerificationReport:
-    """Evaluate all four values with per-route timings and cost counters."""
+    """Evaluate all four values with per-route timings and cost counters.
+
+    Each side is an integer pair (numerator, positive denominator), and
+    the verdict compares every route's pair with the right side's by
+    cross-multiplication, n * d' == n' * d, which is exact since both
+    denominators are positive.  If all four agree, one Fraction, the
+    right side's, fills all four value fields; otherwise each field holds
+    its own side's value.
+    """
     t0 = time.perf_counter_ns()
     direct, terms = _lhs_direct_counted(inst)
     t1 = time.perf_counter_ns()
     ops0 = coefficient_ops()
-    res = lhs_residue(inst)
+    res = _lhs_residue_pair(inst)
     ops1 = coefficient_ops()
     t2 = time.perf_counter_ns()
-    prod = lhs_product(inst)
+    prod = _lhs_product_pair(inst)
     ops2 = coefficient_ops()
     t3 = time.perf_counter_ns()
-    rhs = rhs_closed(inst)
+    rhs = _rhs_closed_pair(inst)
     t4 = time.perf_counter_ns()
+    num, den = rhs
+    all_equal = (
+        direct[0] * den == num * direct[1]
+        and res[0] * den == num * res[1]
+        and prod[0] * den == num * prod[1]
+    )
+    if all_equal:
+        direct = res = prod = rhs = Fraction(num, den)
+    else:
+        direct, res, prod, rhs = [Fraction(*pair) for pair in (direct, res, prod, rhs)]
     return VerificationReport(
-        instance=inst,
-        lhs_direct=direct,
-        lhs_residue=res,
-        lhs_product=prod,
-        rhs=rhs,
-        all_equal=(direct == res == prod == rhs),
-        time_direct_us=(t1 - t0) // 1000,
-        time_residue_us=(t2 - t1) // 1000,
-        time_product_us=(t3 - t2) // 1000,
-        time_rhs_us=(t4 - t3) // 1000,
-        direct_terms=terms,
-        residue_ops=ops1 - ops0,
-        product_ops=ops2 - ops1,
+        inst,
+        direct,
+        res,
+        prod,
+        rhs,
+        all_equal,
+        (t1 - t0) // 1000,
+        (t2 - t1) // 1000,
+        (t3 - t2) // 1000,
+        (t4 - t3) // 1000,
+        terms,
+        ops1 - ops0,
+        ops2 - ops1,
     )
 
 
@@ -595,8 +656,8 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     s = inst.s
     alpha_c = inst.alpha[coordinate]
     others = [
-        _coordinate_factors(a, g.numerator, g.denominator, s)
-        for i, (a, g) in enumerate(zip(inst.alpha, inst.gamma))
+        _coordinate_factors(a, p, q, s)
+        for i, (a, (p, q)) in enumerate(zip(inst.alpha, inst._gamma_pairs))
         if i != coordinate
     ]
     rest_den = math.prod(den for _, den in others)
@@ -605,9 +666,9 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     else:
         rest = [1] + [0] * s
     # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
-    top, gamma_c = inst.top, inst.gamma[coordinate]
-    q0 = top.denominator * gamma_c.denominator
-    p0 = top.numerator * gamma_c.denominator - gamma_c.numerator * top.denominator
+    (top_p, top_q), (p_c, q_c) = inst._top_pair, inst._gamma_pairs[coordinate]
+    q0 = top_q * q_c
+    p0 = top_p * q_c - p_c * top_q
     common = math.gcd(p0, q0)
     p0, q0 = p0 // common, q0 // common
     weights, scale = _falling_weights(p0, q0, s)

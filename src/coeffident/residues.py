@@ -71,8 +71,11 @@ class DerivativeTable(NamedTuple):
 
         Row k has integer coefficients c_i and degree alpha - k, so the
         value is sum_i c_i p**i q**(alpha - i), which Horner's scheme
-        computes in ints.
+        computes in ints.  A k outside 0..alpha//2 is a ValueError, not a
+        row read from the end.
         """
+        if not 0 <= k <= self.alpha // 2:
+            raise ValueError(f"k={k} outside 0..{self.alpha // 2} for alpha={self.alpha}")
         row = self.entries[k]
         value, qpow = 0, q ** (self.alpha - len(row) + 1)
         for c in reversed(row):
@@ -81,7 +84,8 @@ class DerivativeTable(NamedTuple):
         return value
 
     def weight(self, k: int, value) -> Fraction:
-        """entries[k] evaluated at a rational, normalized by alpha!."""
+        """entries[k] evaluated at a rational, normalized by alpha!; k is
+        checked as ``scaled_row`` checks it."""
         p, q = _as_ratio(value)
         return Fraction(
             self.scaled_row(k, p, q), q**self.alpha * math.factorial(self.alpha)

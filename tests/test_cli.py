@@ -245,8 +245,9 @@ def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_verify_detects_route_mismatch(capsys, monkeypatch):
-    # force a wrong right side; the exit code must flip to 1
-    monkeypatch.setattr(identity, "rhs_closed", lambda inst: F(-1))
+    # force a wrong right side, in the pair form that verify calls; the
+    # exit code must flip to 1
+    monkeypatch.setattr(identity, "_rhs_closed_pair", lambda inst: (-1, 1))
     code, lines, _ = run_lines(
         capsys, ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"]
     )
@@ -254,6 +255,35 @@ def test_verify_detects_route_mismatch(capsys, monkeypatch):
     record = json.loads(lines[0])
     assert record["all_equal"] is False
     assert record["rhs"] == "-1"
+
+
+def test_disagreeing_record_prints_each_side(capsys, monkeypatch):
+    # When the sides disagree, each value field is that side's own value,
+    # reduced, where an agreeing record prints one value four times.
+    def returning(real, pair):
+        def route(inst):
+            real(inst)  # still run, so that the op counts are the real ones
+            return pair
+
+        return route
+
+    for name, pair in [("_lhs_residue_pair", (14, 6)), ("_lhs_product_pair", (-30, 4))]:
+        monkeypatch.setattr(identity, name, returning(getattr(identity, name), pair))
+    argv = ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2"]
+    assert main(argv) == 1
+    assert blank_timings(capsys.readouterr().out) == (
+        '{"s":1,"d":1,"alpha":[1,2],"gamma":["0","1/2"],'
+        '"lhs_direct":"15/2","lhs_residue":"7/3","lhs_product":"-15/2","rhs":"15/2",'
+        '"all_equal":false,"time_direct_us":,"time_residue_us":,"time_product_us":,'
+        '"time_rhs_us":,"direct_terms":3,"residue_ops":30,"product_ops":14}\n'
+    )
+    assert main(argv + ["--format", "csv"]) == 1
+    assert blank_timings(capsys.readouterr().out) == (
+        "s,d,alpha,gamma,lhs_direct,lhs_residue,lhs_product,rhs,all_equal,"
+        "time_direct_us,time_residue_us,time_product_us,time_rhs_us,"
+        "direct_terms,residue_ops,product_ops\n"
+        '1,1,"1,2","0,1/2",15/2,7/3,-15/2,15/2,false,,,,,3,30,14\n'
+    )
 
 
 # --- grammar and help ------------------------------------------------------------------

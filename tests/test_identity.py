@@ -126,22 +126,49 @@ def test_instance_validation():
 def test_instance_top_is_the_binomial_top():
     inst = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
     assert inst.top == inst.d + sum(inst.alpha) + sum(inst.gamma) == F(31, 6)
-    assert inst.top is inst.top  # computed once
-    # the cached value is no field: equality and hashing ignore it
-    fresh = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
-    assert inst == fresh and hash(inst) == hash(fresh)
+    # computed once, at construction, as lowest-terms integer pairs; the
+    # routes read the pairs, and .top is made from the stored pair
+    assert vars(inst) == {"_gamma_pairs": ((1, 2), (0, 1), (-7, 3)), "_top_pair": (31, 6)}
+    stale = IdentityInstance(*inst)
+    stale._top_pair = (5, 7)
+    assert stale.top == F(5, 7)
+    # the pairs are no fields: equality and hashing ignore them
+    assert stale == inst and hash(stale) == hash(inst)
     single = IdentityInstance(s=0, alpha=(1,), gamma=(0,))
     assert single.top == 1 and type(single.top) is F
+    assert vars(single) == {"_gamma_pairs": ((0, 1),), "_top_pair": (1, 1)}
+
+
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9), min_size=1, max_size=4))
+def test_instance_pairs_are_the_fractions_in_lowest_terms(gamma):
+    inst = IdentityInstance(s=1, alpha=(3,) + (0,) * (len(gamma) - 1), gamma=gamma)
+    assert inst._gamma_pairs == tuple((g.numerator, g.denominator) for g in inst.gamma)
+    top = inst.d + sum(inst.alpha) + sum(inst.gamma)
+    assert inst._top_pair == (top.numerator, top.denominator)
 
 
 def test_records_survive_pickling():
-    # sweep --jobs N sends instances to worker processes and reports back
+    # sweep --jobs N sends instances to worker processes and reports back;
+    # the workers' routes read the integer pairs made at construction
     inst = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
     assert inst.top == F(31, 6)
+    state = vars(inst)
     copy = pickle.loads(pickle.dumps(inst))
     assert copy == inst and type(copy) is IdentityInstance and copy.top == inst.top
+    for other in (
+        copy,
+        inst._replace(),
+        inst._replace(s=2),
+        IdentityInstance._make(inst),
+    ):
+        assert type(other) is IdentityInstance
+        assert vars(other) == state
+    # a replaced gamma gets its own pairs, not the old ones
+    moved = inst._replace(gamma=(F(1, 2), 1, F(-7, 3)))
+    assert vars(moved) == {"_gamma_pairs": ((1, 2), (1, 1), (-7, 3)), "_top_pair": (37, 6)}
     report = verify(inst)
-    assert pickle.loads(pickle.dumps(report)) == report
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and vars(back.instance) == state
 
 
 def test_replace_and_make_validate():
@@ -475,24 +502,115 @@ def test_right_side_does_not_share_the_leading_binomials(inst):
     assert report.rhs == report.lhs_direct == oracle_rhs(inst.s, inst.alpha, inst.gamma)
 
 
+# Each side's pair form, and the report field that holds its value.
+PAIR_FORMS = {
+    "_lhs_direct_counted": "lhs_direct",
+    "_lhs_residue_pair": "lhs_residue",
+    "_lhs_product_pair": "lhs_product",
+    "_rhs_closed_pair": "rhs",
+}
+# A change to one side's (numerator, denominator), and whether it changes
+# the value the pair stands for: n + 1 always does, -n unless n = 0, and
+# doubling both never does.
+PAIR_CHANGES = {
+    "plus_one": (lambda n, d: (n + 1, d), lambda n: True),
+    "negated": (lambda n, d: (-n, d), lambda n: n != 0),
+    "doubled": (lambda n, d: (2 * n, 2 * d), lambda n: False),
+}
+
+
+@st.composite
+def signed_instances(draw):
+    """(sign, instance), the instance's value of that sign.  A zero value
+    has some gamma_i = -1 with alpha_i >= 1, so that C(alpha_i + gamma_i,
+    alpha_i) = 0; a negative one has every gamma >= 0 but one -3/2 at an
+    alpha_i >= 1, so that exactly one factor of the right side, -1/2, is
+    negative; a positive one has every gamma >= 0."""
+    inst = draw(small_instances())
+    sign = draw(st.sampled_from([-1, 0, 1, None]))
+    if sign is None:  # the instance as drawn
+        value = rhs_closed(inst)
+        return (value > 0) - (value < 0), inst
+    gamma = [abs(g) for g in inst.gamma]  # every binomial factor >= 1
+    if sign < 1:
+        i = draw(st.sampled_from([i for i, a in enumerate(inst.alpha) if a]))
+        gamma[i] = F(-3, 2) if sign else F(-1)
+    return sign, inst._replace(gamma=tuple(gamma))
+
+
+@given(signed_instances(), st.sampled_from(sorted(PAIR_FORMS)), st.sampled_from(sorted(PAIR_CHANGES)))
+@example((0, IdentityInstance(s=1, alpha=(1, 2), gamma=(F(-1), F(1, 2)))), "_lhs_direct_counted", "negated")
+@example((-1, IdentityInstance(s=1, alpha=(3,), gamma=(F(-3, 2),))), "_rhs_closed_pair", "negated")
+def test_the_pair_verdict_is_exact(signed, form, change):
+    # verify compares the integer pairs by cross-multiplication: a pair
+    # that stands for another value flips the verdict, and an unreduced
+    # pair for the same value does not
+    sign, inst = signed
+    value = rhs_closed(inst)
+    assert (value > 0) - (value < 0) == sign
+    real = getattr(identity, form)
+    alter, moves = PAIR_CHANGES[change]
+    if form == "_lhs_direct_counted":
+        (num, den), _ = real(inst)
+
+        def patched(inst):
+            pair, terms = real(inst)
+            return alter(*pair), terms
+    else:
+        num, den = real(inst)
+
+        def patched(inst):
+            return alter(*real(inst))
+
+    assert den > 0 and F(num, den) == value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity, form, patched)
+        report = verify(inst)
+    if moves(num):
+        assert report.all_equal is False
+        assert getattr(report, PAIR_FORMS[form]) == F(*alter(num, den)) != value
+        others = [field for field in PAIR_FORMS.values() if field != PAIR_FORMS[form]]
+        assert all(getattr(report, field) == value for field in others)
+    else:
+        assert report.all_equal is True
+        # one Fraction, the right side's, in all four fields
+        assert report.lhs_direct is report.lhs_residue is report.lhs_product is report.rhs
+        assert report.rhs == value
+
+
 # The package functions that two sides of the identity both enter, with
 # cold caches and a fresh instance per side.  Anything else they share is
 # a common point of failure that could make two routes agree wrongly.
+# The three routes also share data: the integer pairs of gamma and of the
+# binomial top that IdentityInstance computes at construction.  The right
+# side reads the gamma Fractions instead, so a wrong pair moves the routes
+# away from it (test_right_side_does_not_read_the_instance_pairs).
 SHARED_CODE = {
-    # the left side's binomial top d + sum(alpha) + sum(gamma), summed over
-    # the gammas' common denominator (IdentityInstance.top and .d)
-    ("lhs_direct", "lhs_residue"): {"_over_common_denominator", "top", "d"},
-    # the product route puts its scalar residues over one denominator
-    ("lhs_direct", "lhs_product"): {"_over_common_denominator"},
     # the binomial numerators of (1-t)**a and (1+t)**b, and the truncated
     # Cauchy product: the residue route's extraction, and the scalar
     # residues base_t_residue and correction_t_residue of the product route
-    ("lhs_residue", "lhs_product"): {
-        "_over_common_denominator",
-        "_binomial_numerators",
-        "_convolve",
-    },
+    ("lhs_residue", "lhs_product"): {"_binomial_numerators", "_convolve"},
 }
+
+
+@pytest.mark.parametrize("wrong", ["_top_pair", "_gamma_pairs"])
+def test_right_side_does_not_read_the_instance_pairs(wrong):
+    # A wrong pair made at construction moves the routes that read it, and
+    # never the right side: the verdict turns false instead of agreeing.
+    inst = IdentityInstance(s=2, alpha=(2, 3), gamma=(F(1, 2), F(-2, 3)))
+    broken = IdentityInstance(*inst)
+    if wrong == "_top_pair":
+        broken._top_pair = (inst._top_pair[0] + 1, inst._top_pair[1])
+        moved = ("lhs_direct", "lhs_residue")
+    else:
+        broken._gamma_pairs = ((3, 2),) + inst._gamma_pairs[1:]
+        moved = ("lhs_direct", "lhs_residue", "lhs_product")
+    clear_caches()
+    report = verify(broken)
+    assert report.all_equal is False
+    assert report.rhs == rhs_closed(inst) == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+    for name in moved:
+        assert getattr(report, name) != report.rhs
 
 
 def entered_package_functions(side, inst):

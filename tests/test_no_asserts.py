@@ -2,8 +2,9 @@
 
 ``python -O`` strips ``assert`` statements, and with them every check they
 carried.  So the package has none, and its checks are run once under
-``-O``: a broken correction polynomial still raises, and an instance
-outside the hypothesis is still a usage error.
+``-O``: a broken correction polynomial still raises, a route that
+disagrees with the right side still exits 1, and an instance outside the
+hypothesis is still a usage error.
 """
 
 import ast
@@ -63,6 +64,48 @@ def run_optimized(*args):
 
 def test_broken_correction_polynomial_raises_under_O():
     done = run_optimized("-c", BROKEN_CORRECTION)
+    assert done.returncode == 0, done.stderr
+
+
+ROUTE_MISMATCH = r"""
+import contextlib, io, sys
+from coeffident import identity
+from coeffident.cli import main
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+
+
+def plus_one(real, counted):
+    # the side's numerator plus one; the direct route's pair comes with
+    # its count of compositions
+    def route(inst):
+        value = real(inst)
+        if counted:
+            (num, den), terms = value
+            return (num + 1, den), terms
+        num, den = value
+        return num + 1, den
+
+    return route
+
+
+argv = ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2"]
+for name in ("_lhs_direct_counted", "_lhs_residue_pair", "_lhs_product_pair", "_rhs_closed_pair"):
+    real = getattr(identity, name)
+    setattr(identity, name, plus_one(real, name == "_lhs_direct_counted"))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        status = main(argv)
+    setattr(identity, name, real)
+    if status != 1 or '"all_equal":false' not in out.getvalue():
+        sys.exit(f"{name} off by one: status {status} under python -O")
+"""
+
+
+def test_route_mismatch_exits_1_under_O():
+    # the verdict is integer code, cross-multiplying the sides' pairs; it
+    # must not rest on an assert
+    done = run_optimized("-c", ROUTE_MISMATCH)
     assert done.returncode == 0, done.stderr
 
 

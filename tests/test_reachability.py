@@ -38,9 +38,16 @@ REPLAY = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 BENCHMARK_ONLY = {"binomial", "inner_sum", "Poly.degree", "residue"}
 # Kept although neither a subcommand nor a witness enters them.
 ALLOWED_NAMES = BENCHMARK_ONLY | {
-    # the public direct route; ``verify`` calls its counted form,
-    # ``_lhs_direct_counted``
+    # the public routes and right side; ``verify`` calls their integer
+    # pair forms, ``_lhs_direct_counted``, ``_lhs_residue_pair``,
+    # ``_lhs_product_pair`` and ``_rhs_closed_pair``
     "lhs_direct",
+    "lhs_residue",
+    "lhs_product",
+    "rhs_closed",
+    # the public binomial top; the routes read its integer pair, computed
+    # when the instance is constructed
+    "IdentityInstance.top",
     # entered only when the two sides of ``verify --poly-gamma`` disagree,
     # to build the left side's own polynomial; test_poly_gamma_uses_every_node
     # and test_verify_poly_gamma_mismatch_exits_1 enter it

@@ -103,6 +103,21 @@ def test_correction_weight_example():
     assert derivative_table(2).weight(1, F(3)) == -2  # -(3+1)/2!
 
 
+@pytest.mark.parametrize("alpha, k", [(3, -1), (3, -3), (3, 2), (0, 1), (0, -1), (7, 4)])
+def test_rows_outside_the_table_are_refused(alpha, k):
+    # k runs over 0..alpha//2; a negative k used to read a row from the end
+    # (derivative_table(3).weight(-1, 1/2) was row 1's -13/8)
+    table = derivative_table(alpha)
+    with pytest.raises(ValueError, match=f"k={k} outside 0..{alpha // 2}"):
+        table.scaled_row(k, 1, 2)
+    with pytest.raises(ValueError, match=f"k={k} outside 0..{alpha // 2}"):
+        table.weight(k, F(1, 2))
+    # the edges of the range still read their rows
+    assert table.scaled_row(0, 1, 2) == 2**alpha * Poly(table.entries[0])(F(1, 2))
+    last = alpha // 2
+    assert table.scaled_row(last, 1, 2) == 2**alpha * Poly(table.entries[last])(F(1, 2))
+
+
 # --- the w-residue series and its closed form --------------------------------
 
 
