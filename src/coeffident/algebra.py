@@ -71,15 +71,22 @@ def parse_rational(text: str) -> Fraction:
     trimmed.  Digits are ASCII only.  Decimal points, exponents, and
     embedded spaces are rejected.
     """
+    numerator, denominator = _rational_parts(text)
+    if denominator is None:
+        return Fraction(numerator)
+    if denominator == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(numerator, denominator)
+
+
+def _rational_parts(text: str) -> tuple[int, int | None]:
+    """Numerator and denominator (None without ``/q``) of ``text`` in
+    ``parse_rational``'s grammar, which the command line's integers share."""
     normalized = text.strip().replace("−", "-")
     if not _RATIONAL_PATTERN.match(normalized):
         raise ValueError(f"not a rational in p/q form: {text!r}")
     numerator, _, denominator = normalized.partition("/")
-    if denominator:
-        if int(denominator) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(int(numerator))
+    return int(numerator), int(denominator) if denominator else None
 
 
 def binomial(x: Scalar, b: int) -> Fraction:

@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import IO, Any, Callable, Iterable, NamedTuple
 
-from .algebra import parse_rational
+from .algebra import _rational_parts, parse_rational
 from .identity import (
     MAX_JOBS,
     IdentityInstance,
@@ -86,15 +85,18 @@ class CliConfig(NamedTuple):
     order: int = 0
 
 
-_INTEGER_PATTERN = re.compile(r"-?[0-9]+")
-
-
 def _integer(text: str) -> int:
-    """An ASCII decimal integer, optionally negative; whitespace is trimmed.
-    Plain ``int`` would also take "+1", "1_0" and non-ASCII digits."""
-    if not _INTEGER_PATTERN.fullmatch(text.strip()):
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+    """A ``parse_rational`` number without ``/q``, so a U+2212 minus works as
+    in rationals.  Plain ``int`` refuses it, but takes "+1", "1_0" and
+    non-ASCII digits."""
+    try:
+        numerator, denominator = _rational_parts(text)
+    except ValueError:
+        pass
+    else:
+        if denominator is None:
+            return numerator
+    raise ValueError(f"invalid int value: {text!r}")
 
 
 class _Flag(NamedTuple):

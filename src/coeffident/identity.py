@@ -404,18 +404,14 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
         raise CorrectionInvariantError(
             f"correction polynomial has nonzero odd powers of u: {odd}"
         )
-    # den * base + sum_k nums[k] * correction_k, over the residues'
-    # common denominator rden
-    base = base_t_residue(inst.s)
-    total, rden = den * base.numerator, base.denominator
+    # den * base + sum_k nums[k] * correction_k; every residue is an
+    # integer, [t**s] of (1-t)**a (1+t)**b at integer a and b
+    total = den * base_t_residue(inst.s).numerator
     for k in range(2, degree + 1, 2):
         if nums[k]:
-            r = correction_t_residue(inst.s, k)
-            r_den = r.denominator
-            total = total * r_den + nums[k] * r.numerator * rden
-            rden *= r_den
+            total += nums[k] * correction_t_residue(inst.s, k).numerator
     lead_num, lead_den = _leading_product(inst)
-    return total * lead_num, den * rden * lead_den
+    return total * lead_num, den * lead_den
 
 
 def lhs_product(inst: IdentityInstance) -> Fraction:
@@ -745,8 +741,13 @@ def iter_instances(
     composition order, then gamma running through the Cartesian power of
     ``gamma_set`` in the given order.  ``cap`` cuts the stream after
     that many instances, so a capped sweep is a prefix of the uncapped
-    one.
+    one.  The arguments are checked on the call, before any instance is
+    drawn; the counts must be ints (``operator.index``), not floats.
     """
+    max_s = operator.index(max_s)
+    max_d = operator.index(max_d)
+    if cap is not None:
+        cap = operator.index(cap)
     if max_s < 0 or max_d < 0:
         raise ValueError("max_s and max_d must be >= 0")
     if cap is not None and cap < 1:
@@ -754,15 +755,14 @@ def iter_instances(
     gam = tuple(as_rational(g) for g in gamma_set)
     if not gam:
         raise ValueError("gamma_set must be nonempty")
-    produced = 0
-    for s in range(max_s + 1):
-        for d in range(max_d + 1):
-            for alpha in compositions(2 * s + 1, d + 1):
-                for gamma in itertools.product(gam, repeat=d + 1):
-                    if cap is not None and produced >= cap:
-                        return
-                    produced += 1
-                    yield IdentityInstance(s=s, alpha=alpha, gamma=gamma)
+    grid = (
+        IdentityInstance(s=s, alpha=alpha, gamma=gamma)
+        for s in range(max_s + 1)
+        for d in range(max_d + 1)
+        for alpha in compositions(2 * s + 1, d + 1)
+        for gamma in itertools.product(gam, repeat=d + 1)
+    )
+    return itertools.islice(grid, cap)
 
 
 def sweep(
@@ -776,8 +776,10 @@ def sweep(
 
     With jobs > 1 the instances go to worker processes; ordered imap
     keeps the output stream identical to the serial one.  A jobs value
-    outside 1..MAX_JOBS raises ValueError before any work starts.
+    that is not an int (TypeError) or is outside 1..MAX_JOBS (ValueError)
+    raises before any work starts, as a bad grid argument does.
     """
+    jobs = operator.index(jobs)
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
     instances = iter_instances(max_s, max_d, gamma_set, cap)

@@ -109,6 +109,16 @@ def test_negative_value_after_a_space():
 def test_unicode_minus_accepted_in_vectors():
     cfg = parse_config(["verify", "--s", "0", "--alpha", "1", "--gamma", "−1/2"])
     assert cfg.gamma == (F(-1, 2),)
+    # integers take the U+2212 minus as rationals do, in vectors and flags
+    cfg = parse_config(["verify", "--s", "−0", "--alpha", "3,−0", "--gamma", "0,0"])
+    assert (cfg.s, cfg.alpha) == (0, (3, 0))
+    cfg = parse_config(["jseries", "--alpha", "2", "--gamma", "0", "--order", "−0"])
+    assert cfg.order == 0
+    # an integer is the rational grammar without "/q", with one sign
+    with pytest.raises(UsageError, match="--alpha: invalid int value"):
+        parse_config(["verify", "--s", "1", "--alpha", "−−1,4", "--gamma", "0,0"])
+    with pytest.raises(UsageError, match="--s: invalid int value"):
+        parse_config(["verify", "--s", "4/2", "--alpha", "1,2", "--gamma", "0,0"])
 
 
 # --- verify ----------------------------------------------------------------------

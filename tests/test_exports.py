@@ -33,7 +33,30 @@ def test_package_exports_are_the_modules_exports():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
     assert len(set(coeffident.__all__)) == len(coeffident.__all__)
-    assert set(coeffident.__all__) == set().union(*(m.__all__ for m in modules))
+    assert coeffident.__all__ == [name for m in modules for name in m.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(coeffident, name) is getattr(module, name), name
+
+
+def test_package_root_names_no_export_by_hand():
+    # each public name is declared once, in its module's __all__; the root
+    # star-imports the modules and concatenates their lists
+    path = SOURCE / "__init__.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert ast.get_docstring(tree)
+    written = set()
+    for node in ast.walk(ast.Module(body=tree.body[1:], type_ignores=[])):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            written.update(node.value.replace(",", " ").split())
+        elif isinstance(node, ast.Name):
+            written.add(node.id)
+        elif isinstance(node, ast.alias):
+            written.update({node.name, node.asname} - {None})
+        elif isinstance(node, ast.Attribute):
+            written.add(node.attr)
+    by_hand = sorted(written & set(coeffident.__all__))
+    assert by_hand == [], by_hand
 
 
 def test_package_imports_nothing_from_the_tests():

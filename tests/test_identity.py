@@ -1093,6 +1093,15 @@ def test_iter_instances_validation():
         list(iter_instances(1, 1, ()))
     with pytest.raises(ValueError):
         list(iter_instances(-1, 0, (F(0),)))
+    # counts are ints: a float is refused when called, not rounded or drawn
+    for args, kwargs in (
+        ((2, 1, [0]), {"cap": 2.5}),
+        ((2, 1, [0]), {"cap": 3.0}),
+        ((1.0, 0, [0]), {}),
+        ((0, 0.5, [0]), {}),
+    ):
+        with pytest.raises(TypeError):
+            iter_instances(*args, **kwargs)
 
 
 def test_sweep_serial():
@@ -1109,7 +1118,21 @@ def test_sweep_parallel_matches_serial():
 
 
 @pytest.mark.parametrize("runner", [sweep])
-def test_jobs_bound_checked_before_any_worker(runner):
+def test_jobs_bound_checked_before_any_worker(runner, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for jobs in (MAX_JOBS + 1, 0, -1):
         with pytest.raises(ValueError, match="MAX_JOBS"):
             next(runner(0, 0, (0,), jobs=jobs))
+    for jobs in (1.0, 2.0, 2.5):
+        with pytest.raises(TypeError):
+            next(runner(0, 0, (0,), jobs=jobs))
+    # a bad grid argument is refused before the pool starts too
+    with pytest.raises(TypeError):
+        next(runner(0.5, 0, (0,), jobs=2))
+    with pytest.raises(TypeError):
+        next(runner(0, 0, (0,), cap=1.0, jobs=2))

@@ -215,6 +215,15 @@ def test_correction_t_residue_values():
             assert correction_t_residue(s, 2 * m) == 0
 
 
+def test_t_residues_are_integers():
+    # the product route sums them on numerators alone: [t^s] (1-t)^a (1+t)^b
+    # at integer a and b has denominator 1
+    for s in range(13):
+        assert base_t_residue(s).denominator == 1
+        for k in range(1, 2 * s + 1):
+            assert correction_t_residue(s, k).denominator == 1, (s, k)
+
+
 def test_correction_t_residue_odd_k_witness():
     for s in range(1, 9):
         assert correction_t_residue(s, 1) == math.comb(2 * s, s)
