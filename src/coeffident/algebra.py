@@ -200,25 +200,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]}, var={self.var!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                head = "" if abs(c) == 1 else f"{abs(c)}*"
-                power = self.var if k == 1 else f"{self.var}^{k}"
-                body = head + power
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text

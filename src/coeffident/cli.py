@@ -425,7 +425,17 @@ def run(cfg: CliConfig, out: IO[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(parse_config(sys.argv[1:] if argv is None else argv))
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        # argv is read under the interpreter's limit on int-string
+        # conversion; a record may hold longer numbers (absent before 3.10.7)
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return run(cfg)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return run(cfg)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except _HelpRequested as request:
         print(_help(request.subcommand))
         return 0

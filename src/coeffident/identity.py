@@ -404,12 +404,10 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
         raise CorrectionInvariantError(
             f"correction polynomial has nonzero odd powers of u: {odd}"
         )
-    # den * base + sum_k nums[k] * correction_k; every residue is an
-    # integer, [t**s] of (1-t)**a (1+t)**b at integer a and b
-    total = den * base_t_residue(inst.s).numerator
+    total = den * base_t_residue(inst.s)
     for k in range(2, degree + 1, 2):
         if nums[k]:
-            total += nums[k] * correction_t_residue(inst.s, k).numerator
+            total += nums[k] * correction_t_residue(inst.s, k)
     lead_num, lead_den = _leading_product(inst)
     return total * lead_num, den * lead_den
 
@@ -772,20 +770,26 @@ def sweep(
     cap: int | None = None,
     jobs: int = 1,
 ) -> Iterator[VerificationReport]:
-    """``verify`` over the instance grid, yielded in enumeration order.
+    """``verify`` over the instance grid, in enumeration order.
 
     With jobs > 1 the instances go to worker processes; ordered imap
-    keeps the output stream identical to the serial one.  A jobs value
-    that is not an int (TypeError) or is outside 1..MAX_JOBS (ValueError)
-    raises before any work starts, as a bad grid argument does.
+    keeps the output stream identical to the serial one, and the pool
+    starts when the first report is drawn.  A jobs value that is not an
+    int (TypeError) or is outside 1..MAX_JOBS (ValueError) raises on the
+    call, as a bad grid argument does.
     """
     jobs = operator.index(jobs)
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
     instances = iter_instances(max_s, max_d, gamma_set, cap)
     if jobs == 1:
-        yield from map(verify, instances)
-        return
+        return map(verify, instances)
+    return _pooled_reports(instances, jobs)
+
+
+def _pooled_reports(
+    instances: Iterator[IdentityInstance], jobs: int
+) -> Iterator[VerificationReport]:
     import multiprocessing  # here, so that a serial run does not pay for it
     with multiprocessing.Pool(processes=jobs) as pool:
         yield from pool.imap(verify, instances, chunksize=32)

@@ -23,8 +23,8 @@ way, as the term-by-term sum
 
 ``base_t_residue`` and ``correction_t_residue`` are the two scalar
 t-extractions the reduced-product route of the identity engine needs,
-both [t**s] (1-t)**a (1+t)**b from one int-keyed cache: the base one
-always equals 4**s, and the corrections vanish exactly at
+both [t**s] (1-t)**a (1+t)**b as one integer sum, cached by int key:
+the base one always equals 4**s, and the corrections vanish exactly at
 even correction index (the coefficient vector of the underlying
 polynomial is palindromic with sign (-1)**(k-1), killing the middle
 coefficient only when that sign is -1).
@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import _as_ratio, as_rational
-from .series import _OPS, TSeries, _binomial_numerators, _convolve, binomial_series
+from .series import _OPS, TSeries, binomial_series
 
 __all__ = [
     "DerivativeTable",
@@ -71,9 +71,13 @@ class DerivativeTable(NamedTuple):
 
         Row k has integer coefficients c_i and degree alpha - k, so the
         value is sum_i c_i p**i q**(alpha - i), which Horner's scheme
-        computes in ints.  A k outside 0..alpha//2 is a ValueError, not a
-        row read from the end.
+        computes in ints.  k, p and q must be ints (``operator.index``); a
+        k outside 0..alpha//2 is a ValueError, not a row read from the
+        end, and so is a q below 1.
         """
+        k, p, q = operator.index(k), operator.index(p), operator.index(q)
+        if q < 1:
+            raise ValueError(f"q={q} must be >= 1")
         if not 0 <= k <= self.alpha // 2:
             raise ValueError(f"k={k} outside 0..{self.alpha // 2} for alpha={self.alpha}")
         row = self.entries[k]
@@ -209,20 +213,22 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
 
 
 @lru_cache(maxsize=256)
-def _t_residue(a: int, b: int, s: int) -> Fraction:
-    """[t**s] (1-t)**a (1+t)**b from the full truncated product of the
-    two binomial kernels' numerators.  Counts no ops; its callers do."""
-    a_nums, a_den = _binomial_numerators(-1, 1, a, 1, s)
-    b_nums, b_den = _binomial_numerators(1, 1, b, 1, s)
-    return Fraction(_convolve(a_nums, b_nums, s)[s], a_den * b_den)
+def _t_residue(a: int, b: int, s: int) -> int:
+    """[t**s] (1-t)**a (1+t)**b (ints a >= -1, b >= 0) as sum_j c_j C(b, s-j)
+    with c_j = [t**j] (1-t)**a, stepped exactly from c_0 = 1.  Counts no ops."""
+    total, c = 0, 1
+    for j in range(s + 1):
+        total += c * math.comb(b, s - j)
+        c = c * (j - a) // (j + 1)
+    return total
 
 
-def base_t_residue(s: int) -> Fraction:
+def base_t_residue(s: int) -> int:
     """[t**s] (1-t)**(-1) (1+t)**(2s+1); equals 4**s.
 
     This is the sum of the first s+1 binomials C(2s+1, j), which is half
     of 2**(2s+1) by symmetry of the binomial row.  Every call charges
-    4s + (s+1)(s+2)/2: two binomial series of order s and their product.
+    4s + (s+1)(s+2)/2, the ops of two binomial series and their product.
     ``s`` must be an int (``operator.index``): a float would match a
     cached int key.
     """
@@ -233,7 +239,7 @@ def base_t_residue(s: int) -> Fraction:
     return _t_residue(-1, 2 * s + 1, s)
 
 
-def correction_t_residue(s: int, k: int) -> Fraction:
+def correction_t_residue(s: int, k: int) -> int:
     """[t**s] (1-t)**(k-1) (1+t)**(2s-k+1), for 1 <= k <= 2s.
 
     The polynomial has degree 2s and palindromic coefficients up to the

@@ -225,13 +225,6 @@ def test_poly_rejects_float_coefficients():
         Poly([0.5])
 
 
-def test_poly_str():
-    assert str(Poly([2, 3, 1])) == "gamma^2 + 3*gamma + 2"
-    assert str(Poly([-5, -8, -3])) == "-3*gamma^2 - 8*gamma - 5"
-    assert str(Poly([])) == "0"
-    assert str(Poly([0, 1], var="u")) == "u"
-
-
 def test_rising_factorial_accepts_poly():
     x = Poly.indeterminate()
     p = rising_factorial(x + 1, 3)

@@ -585,12 +585,8 @@ def test_the_pair_verdict_is_exact(signed, form, change):
 # binomial top that IdentityInstance computes at construction.  The right
 # side reads the gamma Fractions instead, so a wrong pair moves the routes
 # away from it (test_right_side_does_not_read_the_instance_pairs).
-SHARED_CODE = {
-    # the binomial numerators of (1-t)**a and (1+t)**b, and the truncated
-    # Cauchy product: the residue route's extraction, and the scalar
-    # residues base_t_residue and correction_t_residue of the product route
-    ("lhs_residue", "lhs_product"): {"_binomial_numerators", "_convolve"},
-}
+# None: the product route's scalar residues are sums of math.comb terms.
+SHARED_CODE = {}
 
 
 @pytest.mark.parametrize("wrong", ["_top_pair", "_gamma_pairs"])
@@ -1125,14 +1121,19 @@ def test_jobs_bound_checked_before_any_worker(runner, monkeypatch):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # the call itself raises, before any report is drawn
     for jobs in (MAX_JOBS + 1, 0, -1):
         with pytest.raises(ValueError, match="MAX_JOBS"):
-            next(runner(0, 0, (0,), jobs=jobs))
+            runner(0, 0, (0,), jobs=jobs)
     for jobs in (1.0, 2.0, 2.5):
         with pytest.raises(TypeError):
-            next(runner(0, 0, (0,), jobs=jobs))
+            runner(0, 0, (0,), jobs=jobs)
     # a bad grid argument is refused before the pool starts too
     with pytest.raises(TypeError):
-        next(runner(0.5, 0, (0,), jobs=2))
+        runner(0.5, 0, (0,), jobs=2)
     with pytest.raises(TypeError):
-        next(runner(0, 0, (0,), cap=1.0, jobs=2))
+        runner(0, 0, (0,), cap=1.0, jobs=2)
+    # a good call starts the pool only when the first report is drawn
+    reports = runner(0, 0, (0,), jobs=2)
+    with pytest.raises(AssertionError, match="pool started"):
+        next(reports)

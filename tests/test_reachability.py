@@ -3,9 +3,9 @@ reference witness.
 
 A fresh interpreter imports ``coeffident`` under ``sys.settrace``, runs
 every subcommand once with small inputs in JSON and in CSV (``verify``
-with and without ``--poly-gamma``, ``sweep --jobs 1``, ``lemma2``,
-``lemma3``, ``jseries``), the help page of the program and of each
-subcommand, one grammar error, and the reference witnesses
+with and without ``--poly-gamma``, ``sweep`` with one job and with two,
+``lemma2``, ``lemma3``, ``jseries``), the help page of the program and
+of each subcommand, one grammar error, and the reference witnesses
 (``w_residue_closed`` against ``w_residue_series``, a derivative-table
 row built and evaluated in ``Poly`` arithmetic).  The witnesses import
 nothing from the tests.  It lists each function defined in the
@@ -57,7 +57,7 @@ ALLOWED_NAMES = BENCHMARK_ONLY | {
     "IdentityInstance._make",
 }
 # dunders that only a person at the prompt or a hashed container calls
-ALLOWED_DUNDERS = {"__repr__", "__str__", "__hash__"}
+ALLOWED_DUNDERS = {"__repr__", "__hash__"}
 
 SCRIPT = r"""
 import contextlib, io, json, sys, types
@@ -81,6 +81,7 @@ argvs = [
     ["verify", "--s", "2", "--alpha", "2,3", "--gamma", "1/2,-2/3"],
     ["verify", "--s", "2", "--alpha", "2,3", "--gamma", "1/2,-2/3", "--poly-gamma", "1"],
     ["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1/2", "--jobs", "1"],
+    ["sweep", "--max-s", "0", "--max-d", "0", "--gamma-set", "0", "--jobs", "2"],
     ["lemma2", "--alpha", "4"],
     ["lemma3", "--max-s", "2"],
     ["jseries", "--alpha", "2", "--gamma", "1/3", "--order", "3"],

@@ -13,7 +13,7 @@ from coeffident.residues import (
     w_residue_closed,
     w_residue_series,
 )
-from coeffident.series import TSeries, binomial_series
+from coeffident.series import TSeries, binomial_series, residue
 from oracles import nested_exp_core, power, rising_factorial
 
 GAMMAS = (F(0), F(1), F(2), F(-1, 2), F(3, 7))
@@ -216,12 +216,19 @@ def test_correction_t_residue_values():
 
 
 def test_t_residues_are_integers():
-    # the product route sums them on numerators alone: [t^s] (1-t)^a (1+t)^b
-    # at integer a and b has denominator 1
+    # the product route sums them as ints: [t^s] (1-t)^a (1+t)^b at integer
+    # a and b is one integer sum, equal to the extraction in series arithmetic
+    def series_residue(a, b, s):
+        return residue(binomial_series(-1, a, s) * binomial_series(1, b, s), s)
+
     for s in range(13):
-        assert base_t_residue(s).denominator == 1
+        base = base_t_residue(s)
+        assert type(base) is int
+        assert base == series_residue(-1, 2 * s + 1, s)
         for k in range(1, 2 * s + 1):
-            assert correction_t_residue(s, k).denominator == 1, (s, k)
+            value = correction_t_residue(s, k)
+            assert type(value) is int, (s, k)
+            assert value == series_residue(k - 1, 2 * s - k + 1, s), (s, k)
 
 
 def test_correction_t_residue_odd_k_witness():
@@ -269,6 +276,13 @@ def test_floats_are_refused_after_a_warm_hit():
         lambda: base_t_residue(2.0),
         lambda: correction_t_residue(2.0, 2),
         lambda: correction_t_residue(2, 2.0),
+        lambda: derivative_table(4).scaled_row(1.0, 1, 2),
+        lambda: derivative_table(4).scaled_row(1, 1.0, 2),
+        lambda: derivative_table(4).scaled_row(1, 1, 2.0),
     ):
         with pytest.raises(TypeError):
             call()
+    # the denominator q of scaled_row's argument p/q is positive
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="q="):
+            derivative_table(4).scaled_row(1, 1, q)
