@@ -420,22 +420,24 @@ _RUNNERS = {
 
 
 def run(cfg: CliConfig, out: IO[str] | None = None) -> int:
-    return _RUNNERS[cfg.subcommand](cfg, out if out is not None else sys.stdout)
+    """Write a parsed command's records to ``out`` (default stdout) and
+    return the exit status.  argv is read under the interpreter's limit on
+    int-string conversion, but a record may hold longer numbers, so the
+    limit (absent before 3.10.7) is lifted while the records are written."""
+    runner, out = _RUNNERS[cfg.subcommand], out if out is not None else sys.stdout
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return runner(cfg, out)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return runner(cfg, out)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        # argv is read under the interpreter's limit on int-string
-        # conversion; a record may hold longer numbers (absent before 3.10.7)
-        if not hasattr(sys, "set_int_max_str_digits"):
-            return run(cfg)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return run(cfg)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
     except _HelpRequested as request:
         print(_help(request.subcommand))
         return 0

@@ -179,7 +179,7 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
 # direct route
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _coordinate_factors(
     alpha_i: int, p: int, q: int, limit: int
 ) -> tuple[tuple[int, ...], int]:
@@ -331,9 +331,13 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
 # reduced-product route
 
 
-def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
+def _correction_numerators(
+    inst: IdentityInstance,
+) -> tuple[list[int], int, tuple[int, int]]:
     """The correction polynomial as integer numerators of u**0, u**1, ...
-    (trailing zeros stripped) over one positive denominator.
+    (trailing zeros stripped) over one positive denominator, and the
+    leading product prod_i C(gamma_i + alpha_i, alpha_i) as an integer
+    numerator and positive denominator (not reduced).
 
     The polynomial is the product, in u = (1-t)/(1+t), of one factor per
     coordinate, 1 + sum_k weight_k u**(2k) for k = 1..alpha_i//2, with
@@ -345,21 +349,32 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
     their gcd.  The factors are multiplied by integer convolution, and the
     denominators multiply; no Fraction is made.
 
+    The k = 0 weight is the leading binomial: row 0 is the rising product
+    (c+1)...(c+alpha_i), so for alpha_i >= 2 the coordinate's binomial is
+    ``scaled_row(0, p, q)`` over the same scale, read from the table that
+    the coordinate's last weight lookup returned; for alpha_i <= 1 it is
+    ((p+q)/q)**alpha_i.
+
     The table is looked up once per weight, not once per coordinate: the
     benchmark's traced replay makes the same lookups and checks the
     table's hit ratio against the untraced run.
     ``test_verify_looks_up_the_derivative_table_once_per_weight`` pins the
     count until ROADMAP item 3 replaces the replay with the program's meter.
     """
-    nums, den = [1], 1
+    nums, den, lead_num, lead_den = [1], 1, 1, 1
     for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
         half = a // 2
         if half == 0:
+            lead_num *= (p + q) ** a
+            lead_den *= q**a
             continue
-        factor = [0] * (2 * half + 1)
-        factor[0] = q**a * math.factorial(a)
+        scale = q**a * math.factorial(a)
+        factor = [scale] + [0] * (2 * half)
         for k in range(1, half + 1):
-            factor[2 * k] = derivative_table(a).scaled_row(k, p, q)
+            table = derivative_table(a)
+            factor[2 * k] = table.scaled_row(k, p, q)
+        lead_num *= table.scaled_row(0, p, q)
+        lead_den *= scale
         common = math.gcd(*factor)
         factor = [y // common for y in factor]
         product = [0] * (len(nums) + 2 * half)
@@ -371,7 +386,7 @@ def _correction_numerators(inst: IdentityInstance) -> tuple[list[int], int]:
         den *= factor[0]
     while nums and not nums[-1]:
         nums.pop()
-    return nums, den
+    return nums, den, (lead_num, lead_den)
 
 
 def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
@@ -384,11 +399,12 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
     even-index corrections weighted by the correction polynomial.  The
     binomial prefactors come out in front.  The correction polynomial's
     weights are evaluated from the derivative table's integer rows by
-    Horner's scheme in ints, and the binomial prefactors are integer
-    rising products; the invariants are checked, and the sum of the
-    weighted residues is taken, on integer numerators.
+    Horner's scheme in ints, and the binomial prefactors are the integer
+    rising products of the same table's row 0 (``_correction_numerators``);
+    the invariants are checked, and the sum of the weighted residues is
+    taken, on integer numerators.
     """
-    nums, den = _correction_numerators(inst)
+    nums, den, (lead_num, lead_den) = _correction_numerators(inst)
     degree = len(nums) - 1
     constant = nums[0] if nums else 0
     if constant != den:
@@ -408,7 +424,6 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
     for k in range(2, degree + 1, 2):
         if nums[k]:
             total += nums[k] * correction_t_residue(inst.s, k)
-    lead_num, lead_den = _leading_product(inst)
     return total * lead_num, den * lead_den
 
 
@@ -417,39 +432,14 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     return Fraction(*_lhs_product_pair(inst))
 
 
-@lru_cache(maxsize=256)
-def _leading_binomial(alpha_i: int, p: int, q: int) -> tuple[int, int]:
-    """One coordinate's leading binomial C(gamma_i + alpha_i, alpha_i),
-    gamma_i = p/q in lowest terms, as its numerator and denominator in
-    lowest terms: the rising product (p + q)(p + 2q)...(p + alpha_i*q) over
-    q**alpha_i alpha_i!, stepped one factor at a time in ints and reduced
-    by one gcd.  The key is ints, so a lookup hashes no Fraction."""
-    num = den = 1
-    for k in range(1, alpha_i + 1):
-        num *= p + k * q
-        den *= k * q
-    common = math.gcd(num, den)
-    return num // common, den // common
-
-
-def _leading_product(inst: IdentityInstance) -> tuple[int, int]:
-    """prod_i C(gamma_i + alpha_i, alpha_i) as an integer numerator and
-    denominator (not reduced)."""
-    num = den = 1
-    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
-        lead_num, lead_den = _leading_binomial(a, p, q)
-        num *= lead_num
-        den *= lead_den
-    return num, den
-
-
 def _binomial_product(
     alpha: Sequence[int], gamma: Sequence[Fraction]
 ) -> tuple[int, int]:
     """prod_i C(gamma_i + alpha_i, alpha_i), each the rising product
     prod_{k=1..alpha_i} (p + k*q) over q**alpha_i alpha_i! for gamma_i = p/q,
     as an integer numerator and denominator (not reduced).  The right side
-    shares no code with the product route's ``_leading_binomial``."""
+    shares no code with the product route, which reads its binomials from
+    row 0 of the derivative table."""
     num = den = 1
     for a, g in zip(alpha, gamma):
         p, q = g.numerator, g.denominator
@@ -605,21 +595,20 @@ def _interpolate(nums: Sequence[int], den: int) -> Poly:
 def _node_tables(alpha_c: int, s: int) -> tuple[tuple[int, ...], ...]:
     """For each node x = 0, 1, ..., s + alpha_c, the series
     U_x = (1-t)**x T_x to t**s, where T_x is a coordinate's factor table
-    (``_coordinate_factors``) at alpha_c and gamma = x, as integer
-    numerators over the one denominator s! alpha_c!.
+    at alpha_c and gamma = x, as integer numerators over the one
+    denominator alpha_c!.
 
-    T_x's numerators are brought to that denominator (it is T_x's before
-    the gcd), and the product with the integer series
-    (1-t)**x = sum_k (-1)**k C(x, k) t**k is an integer convolution.  The
-    key is ints, and one entry serves every call at (alpha_c, s).
+    At an integer node the b-th factor C(b+x, b) (2b+x+1)**alpha_c / alpha_c!
+    has the integer numerator C(b+x, b) (2b+x+1)**alpha_c, and the product
+    with the integer series (1-t)**x = sum_k (-1)**k C(x, k) t**k is an
+    integer convolution.  The key is ints, and one entry serves every
+    call at (alpha_c, s).
     """
-    table_den = math.factorial(s) * math.factorial(alpha_c)
     tables = []
     for x in range(s + alpha_c + 1):
-        table, den = _coordinate_factors(alpha_c, x, 1, s)
-        lift = table_den // den
-        signed = [(-1) ** k * math.comb(x, k) * lift for k in range(min(x, s) + 1)]
-        tables.append(tuple(_convolve(signed, table, s)))
+        factors = [math.comb(b + x, b) * (2 * b + x + 1) ** alpha_c for b in range(s + 1)]
+        signed = [(-1) ** k * math.comb(x, k) for k in range(min(x, s) + 1)]
+        tables.append(tuple(_convolve(signed, factors, s)))
     return tuple(tables)
 
 
@@ -642,9 +631,9 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     cached by alpha_c and s) and A = (1-t)**top0 R truncated at t**s.  A
     is built once per call, from the weights ``_falling_weights``, in
     O(s**2); each node is then one dot product, O(s), on integer
-    numerators, and makes no Fraction.  Every U_x is over s! alpha_c!,
-    and A is over q0**s s! times the other tables' denominators, at
-    every node.  The regrouped sum is the same exact sum, so every value
+    numerators, and makes no Fraction.  Every U_x is over alpha_c!, and A
+    is over q0**s s! times the other tables' denominators, at every
+    node.  The regrouped sum is the same exact sum, so every value
     equals ``lhs_direct`` of the pinned instance.
     """
     s = inst.s
@@ -669,7 +658,7 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     # reversed, so that a node is one aligned dot product: shifted[b] = A[s - b]
     shifted = _convolve(weights, rest, s)[::-1]
     nums = [sum(map(operator.mul, u, shifted)) for u in _node_tables(alpha_c, s)]
-    return nums, scale * math.factorial(s) * math.factorial(alpha_c) * rest_den
+    return nums, scale * math.factorial(alpha_c) * rest_den
 
 
 def verify_poly_gamma(

@@ -81,7 +81,7 @@ def test_criterion_3_product_route(sweep_reports):
     parity_bad = []
     for r in sweep_reports:
         # the correction polynomial as integer numerators over den
-        nums, den = _correction_numerators(r.instance)
+        nums, den, _ = _correction_numerators(r.instance)
         even_only = not any(nums[1::2])
         if not (even_only and len(nums) - 1 <= 2 * r.instance.s and nums[:1] == [den]):
             parity_bad.append(r.instance)

@@ -503,14 +503,18 @@ def test_jseries_rejects_negative_order(capsys):
 )
 def test_records_are_written_past_the_digit_limit(capsys):
     # a coefficient longer than the interpreter's 4300-digit limit on
-    # int-string conversion is written; argv is still read under the limit,
-    # and the limit is restored when main returns
+    # int-string conversion is written, by main and by a library call of
+    # run; argv is still read under the limit, and the limit is restored
+    # when main or run returns
     limit = sys.get_int_max_str_digits()
-    code, lines, _ = run_lines(
-        capsys, ["jseries", "--alpha", "3000", "--gamma", "1/2", "--order", "1"]
-    )
+    argv = ["jseries", "--alpha", "3000", "--gamma", "1/2", "--order", "1"]
+    code, lines, _ = run_lines(capsys, argv)
     assert code == 0
     assert max(len(c) for c in json.loads(lines[0])["coefficients"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    out = io.StringIO()
+    assert coeffident.cli.run(parse_config(argv), out) == 0
+    assert out.getvalue() == lines[0] + "\n"
     assert sys.get_int_max_str_digits() == limit
     code, _, err = run_lines(
         capsys, ["jseries", "--alpha", "1", "--gamma", "1" * 4400, "--order", "1"]

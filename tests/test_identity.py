@@ -258,7 +258,6 @@ def clear_caches():
 PACKAGE_CACHES = (
     identity._coordinate_factors,
     identity._node_tables,
-    identity._leading_binomial,
     _w_residue_numerators,
     _binomial_numerators,
     _t_residue,
@@ -414,20 +413,22 @@ def test_lhs_residue_examples():
 def test_lhs_product_trivial_when_alphas_small():
     # all alpha_i <= 1: the correction polynomial is 1
     inst = IdentityInstance(s=1, alpha=(1, 1, 1), gamma=(F(1, 2), F(0), F(2)))
-    assert identity._correction_numerators(inst) == ([1], 1)
+    # and the leads are 3/2, 1 and 3, over the denominators q_i
+    assert identity._correction_numerators(inst) == ([1], 1, (9, 2))
     assert lhs_product(inst) == rhs_closed(inst)
 
 
 def test_lhs_product_with_corrections():
     inst = IdentityInstance(1, (3,), (F(0),))
-    nums, den = identity._correction_numerators(inst)
+    nums, den, lead = identity._correction_numerators(inst)
     assert [F(n, den) for n in nums] == [1, 0, F(-5, 6)]
+    assert F(*lead) == 1  # C(3, 3)
     assert lhs_product(inst) == 4
 
 
 def test_correction_polynomial_structure():
     inst = IdentityInstance(s=3, alpha=(4, 3), gamma=(F(1, 2), F(2)))
-    nums, den = identity._correction_numerators(inst)
+    nums, den, _ = identity._correction_numerators(inst)
     assert nums[:1] == [den]
     assert len(nums) - 1 <= 2 * inst.s
     assert not any(nums[1::2])
@@ -451,7 +452,7 @@ def small_instances(draw, max_s=3, max_d=3):
 
 @given(small_instances())
 def test_correction_numerators_are_the_polynomial(inst):
-    nums, den = identity._correction_numerators(inst)
+    nums, den, _ = identity._correction_numerators(inst)
     assert den > 0
     assert not nums or nums[-1] != 0
     # the Fraction product of the coordinate factors, as Poly arithmetic
@@ -468,38 +469,43 @@ def test_correction_numerators_are_the_polynomial(inst):
 @pytest.mark.parametrize(
     "lam, broken",
     [
-        (([4, 0, 2], 2), "constant term"),  # 2 + u**2/2
-        (([3, 0, 0, 0, 3], 3), "degree"),  # 1 + u**4 at s = 1
-        (([2, 1], 2), "odd powers"),  # 1 + u/2
+        (([4, 0, 2], 2, (1, 1)), "constant term"),  # 2 + u**2/2
+        (([3, 0, 0, 0, 3], 3, (1, 1)), "degree"),  # 1 + u**4 at s = 1
+        (([2, 1], 2, (1, 1)), "odd powers"),  # 1 + u/2
     ],
 )
 def test_lhs_product_invariants_raise(monkeypatch, lam, broken):
-    # lam is the correction polynomial as (numerators, denominator); the
-    # checks are real exceptions, not asserts: they must still fire under
-    # python -O
+    # lam is the correction polynomial as (numerators, denominator), with
+    # a lead pair of 1; the checks are real exceptions, not asserts: they
+    # must still fire under python -O
     monkeypatch.setattr(identity, "_correction_numerators", lambda inst: lam)
     with pytest.raises(CorrectionInvariantError, match=broken):
         lhs_product(SPOT)
     assert issubclass(CorrectionInvariantError, ArithmeticError)
 
 
-@given(small_instances().map(lambda inst: inst._replace(gamma=tuple(map(abs, inst.gamma)))))
-def test_right_side_does_not_share_the_leading_binomials(inst):
-    # A wrong leading binomial must move the product route only: the right
-    # side computes its binomials itself.  With gamma >= 0 every binomial
-    # is >= 1, so raising each by one strictly raises the product.
-    real = identity._leading_binomial
-
-    def off_by_one(a, p, q):
-        num, den = real(a, p, q)
-        return num + den, den
-
+def test_right_side_does_not_share_the_leading_binomials():
+    # The product route reads each leading binomial C(gamma_i + 3, 3) from
+    # row 0 of derivative_table(3), the rising product (c+1)(c+2)(c+3); the
+    # right side computes its binomials itself.  So a wrong row 0 must move
+    # the product route, and only it, on every instance with an alpha_i = 3.
+    # Adding 1 to its constant term raises that binomial by 1/3!, and with
+    # gamma >= 0 every other binomial is >= 1, so the product strictly rises.
+    real = identity.derivative_table
+    table = real(3)
+    row0 = (table.entries[0][0] + 1,) + table.entries[0][1:]
+    mutant = table._replace(entries=(row0,) + table.entries[1:])
+    instances = [
+        inst for inst in iter_instances(3, 2, [0, 1, F(1, 2)]) if 3 in inst.alpha
+    ]
+    assert len(instances) == 705
+    rhs = [oracle_rhs(inst.s, inst.alpha, inst.gamma) for inst in instances]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identity, "_leading_binomial", off_by_one)
-        report = verify(inst)
-    assert report.lhs_product != report.rhs
-    assert report.all_equal is False
-    assert report.rhs == report.lhs_direct == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+        patch.setattr(identity, "derivative_table", lambda a: mutant if a == 3 else real(a))
+        reports = [verify(inst) for inst in instances]
+    assert [r.all_equal for r in reports] == [False] * len(instances)
+    assert [r.rhs for r in reports] == rhs
+    assert all(r.lhs_product != r.rhs == r.lhs_direct for r in reports)
 
 
 # Each side's pair form, and the report field that holds its value.
@@ -649,8 +655,9 @@ def test_sides_share_only_the_listed_functions():
 
 def test_verify_looks_up_the_derivative_table_once_per_weight():
     # lhs_product looks the table up once per correction weight,
-    # sum_{alpha_i >= 2} alpha_i // 2 times per instance, and never for a
-    # leading binomial, with a cold cache or a warm one; verify's other
+    # sum_{alpha_i >= 2} alpha_i // 2 times per instance, with a cold cache
+    # or a warm one: a leading binomial reads row 0 of the table that the
+    # coordinate's last weight lookup returned; verify's other
     # routes never look it up.  The coordinates with alpha_i >= 4 are
     # where one lookup per coordinate would differ.  The benchmark's
     # replay makes the same lookups and checks the table's hit ratio

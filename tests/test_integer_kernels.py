@@ -127,16 +127,18 @@ def test_binomial_series_matches_the_fraction_loop(c, r, order):
     assert same_series(series, fraction_binomial(F(c), r, order), order)
 
 
-@given(alphas, rationals)
-@example(0, F(0))
-@example(3, F(-2))
-@example(4, F(5, 10**6))
-def test_leading_binomial_is_the_generalized_binomial(alpha, g):
-    lead = binomial(g + alpha, alpha)
-    assert identity._leading_binomial(alpha, g.numerator, g.denominator) == (
-        lead.numerator,
-        lead.denominator,
-    )
+@given(alphas, rationals, rationals)
+@example(0, F(0), F(-1))  # alpha_i = 0, and alpha_i = 1 at a zero
+@example(1, F(-1), F(1, 3))  # alpha_i = 1 at a zero, and alpha_i = 2
+@example(3, F(-2), F(-4))  # both zero, each read from row 0
+@example(4, F(5, 10**6), F(-7, 2))
+def test_leading_binomial_is_the_generalized_binomial(alpha, g, h):
+    # route 3's lead pair, read from row 0 of the derivative table for
+    # alpha_i >= 2 and inline for alpha_i <= 1, is prod_i C(gamma_i + alpha_i, alpha_i)
+    inst = IdentityInstance(s=alpha, alpha=(alpha, alpha + 1), gamma=(g, h))
+    num, den = identity._correction_numerators(inst)[2]
+    assert den > 0
+    assert F(num, den) == binomial(g + alpha, alpha) * binomial(h + alpha + 1, alpha + 1)
 
 
 @given(alphas, rationals)

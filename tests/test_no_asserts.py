@@ -24,9 +24,9 @@ if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
 inst = IdentityInstance(s=1, alpha=(1, 2), gamma=(0, 0))
 for lam, broken in [
-    (([4, 0, 2], 2), "constant term"),  # 2 + u**2/2
-    (([3, 0, 0, 0, 3], 3), "degree"),  # 1 + u**4 at s = 1
-    (([2, 1], 2), "odd powers"),  # 1 + u/2
+    (([4, 0, 2], 2, (1, 1)), "constant term"),  # 2 + u**2/2
+    (([3, 0, 0, 0, 3], 3, (1, 1)), "degree"),  # 1 + u**4 at s = 1
+    (([2, 1], 2, (1, 1)), "odd powers"),  # 1 + u/2
 ]:
     identity._correction_numerators = lambda inst, lam=lam: lam
     try:
