@@ -11,6 +11,7 @@ as a *polynomial* identity rather than a numerical coincidence.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -33,10 +34,13 @@ def as_rational(value: Scalar) -> Fraction:
 
     ``Fraction(0.1)`` would silently produce the exact binary expansion of
     the float, which is never what an exact computation wants.  An exact
-    ``Fraction`` is immutable and comes back as it is.
+    ``Fraction`` is immutable and comes back as it is.  A string is read in
+    ``parse_rational``'s grammar, so the library and the command line share it.
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     _refuse_float(value)
     return Fraction(value)
 
@@ -44,6 +48,21 @@ def as_rational(value: Scalar) -> Fraction:
 def _refuse_float(value) -> None:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an exact Fraction instead")
+
+
+def _count(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int in ``low..high`` (no upper bound for None): the
+    one check of every count argument.  ``operator.index`` makes a float a
+    TypeError, never truncated or matched to a cached int key; a value out
+    of range is a ValueError whose message starts with ``name=value``.
+    """
+    value = operator.index(value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name}={value} must be >= {low}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name}={value} outside {low}..{high}")
+    return value
 
 
 def _as_ratio(value: Scalar) -> tuple[int, int]:
@@ -95,9 +114,10 @@ def binomial(x: Scalar, b: int) -> Fraction:
     Computed as prod_{i=0}^{b-1} (x - i) / b!, the degree-b polynomial
     extension of the integer binomial: for integers 0 <= x < b the product
     contains a zero factor, and b < 0 gives 0 outright.  A float on top
-    is refused, as ``as_rational`` refuses it.
+    is refused, as ``as_rational`` refuses it, and b must be an int.
     """
     _refuse_float(x)
+    b = operator.index(b)
     if b < 0:
         return Fraction(0)
     acc = Fraction(1)

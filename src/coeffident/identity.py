@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import Poly, as_rational
+from .algebra import Poly, _count, as_rational
 from .residues import (
     _w_residue_numerators,
     base_t_residue,
@@ -90,11 +90,11 @@ class IdentityInstance(_InstanceFields):
     """One cell of the identity: s plus the alpha and gamma vectors.
 
     Validation happens at construction: the two vectors must have equal
-    positive length, s and alpha must be nonnegative integers (anything
-    ``operator.index`` accepts; a float is refused, not truncated), gamma
-    must be exact rationals, and sum(alpha) must equal 2s+1 (the identity
-    is not claimed outside that hypothesis).  ``_make``, and so
-    ``_replace``, construct through the same checks.
+    positive length, s and alpha must be counts (``algebra._count``; a
+    float is refused, not truncated), gamma must be exact rationals, and
+    sum(alpha) must equal 2s+1 (the identity is not claimed outside that
+    hypothesis).  ``_make``, and so ``_replace``, construct through the
+    same checks.
 
     Construction also computes, once, the integer pairs the routes read:
     each gamma's numerator and denominator, and the binomial top
@@ -104,21 +104,19 @@ class IdentityInstance(_InstanceFields):
 
     def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
         try:
-            s = operator.index(s)
-            alpha = tuple(map(operator.index, alpha))
+            s = _count(s, "s")
+            alpha = tuple([_count(a, "alpha_i") for a in alpha])
         except TypeError as exc:
             raise InvalidInstance(f"s and alpha must be integers: {exc}") from None
+        except ValueError as exc:
+            raise InvalidInstance(str(exc)) from None
         gamma = tuple(map(as_rational, gamma))
-        if s < 0:
-            raise InvalidInstance("s must be >= 0")
         if not alpha:
             raise InvalidInstance("alpha needs at least one coordinate")
         if len(alpha) != len(gamma):
             raise InvalidInstance(
                 f"alpha and gamma lengths differ: {len(alpha)} vs {len(gamma)}"
             )
-        if min(alpha) < 0:
-            raise InvalidInstance("alpha coordinates must be >= 0")
         total = sum(alpha)
         if total != 2 * s + 1:
             raise InvalidInstance(
@@ -165,14 +163,13 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     Stars and bars: the parts are the gaps between parts - 1 cut points
     0 <= c_1 <= ... <= c_{parts-1} <= n, and cut tuples in lexicographic
     order give the parts in lexicographic order.  No recursion, so any
-    number of parts works.
+    number of parts works.  The counts are checked on the call.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
-        yield tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
+    n, parts = _count(n, "n"), _count(parts, "parts", 1)
+    return (
+        tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
+        for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +266,7 @@ def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     """The inner sum S_j: compositions of s-j across the coordinates."""
-    j = operator.index(j)
-    if not 0 <= j <= inst.s:
-        raise ValueError(f"j={j} outside 0..{inst.s}")
+    j = _count(j, "j", 0, inst.s)
     tables, den = _instance_tables(inst)
     return Fraction(_composition_sums(tables, inst.s - j)[0][-1], den)
 
@@ -691,9 +686,7 @@ def verify_poly_gamma(
     ``lhs_poly`` is interpolated from the left side's own n values, so a
     wrong node shows in it.
     """
-    coordinate = operator.index(coordinate)
-    if not 0 <= coordinate <= inst.d:
-        raise ValueError(f"coordinate {coordinate} outside 0..{inst.d}")
+    coordinate = _count(coordinate, "coordinate", 0, inst.d)
     alpha_c = inst.alpha[coordinate]
     lnums, lden = _lhs_at_nodes(inst, coordinate)
     num, den = _binomial_product(
@@ -726,19 +719,13 @@ def iter_instances(
 
     Order: s ascending, then d ascending, then alpha in lexicographic
     composition order, then gamma running through the Cartesian power of
-    ``gamma_set`` in the given order.  ``cap`` cuts the stream after
-    that many instances, so a capped sweep is a prefix of the uncapped
-    one.  The arguments are checked on the call, before any instance is
-    drawn; the counts must be ints (``operator.index``), not floats.
+    ``gamma_set`` in the given order.  ``cap`` cuts the stream after that
+    many instances, so a capped sweep is a prefix of the uncapped one.
+    The arguments are checked on the call, before any instance is drawn.
     """
-    max_s = operator.index(max_s)
-    max_d = operator.index(max_d)
+    max_s, max_d = _count(max_s, "max_s"), _count(max_d, "max_d")
     if cap is not None:
-        cap = operator.index(cap)
-    if max_s < 0 or max_d < 0:
-        raise ValueError("max_s and max_d must be >= 0")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
+        cap = _count(cap, "cap", 1)
     gam = tuple(as_rational(g) for g in gamma_set)
     if not gam:
         raise ValueError("gamma_set must be nonempty")
@@ -763,13 +750,9 @@ def sweep(
 
     With jobs > 1 the instances go to worker processes; ordered imap
     keeps the output stream identical to the serial one, and the pool
-    starts when the first report is drawn.  A jobs value that is not an
-    int (TypeError) or is outside 1..MAX_JOBS (ValueError) raises on the
-    call, as a bad grid argument does.
+    starts when the first report is drawn; ``jobs`` is checked on the call.
     """
-    jobs = operator.index(jobs)
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs={jobs} outside 1..MAX_JOBS={MAX_JOBS}")
+    jobs = _count(jobs, "jobs", 1, MAX_JOBS)
     instances = iter_instances(max_s, max_d, gamma_set, cap)
     if jobs == 1:
         return map(verify, instances)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import _as_ratio, as_rational
+from .algebra import _as_ratio, _count, as_rational
 from .series import _OPS, TSeries, binomial_series
 
 __all__ = [
@@ -71,15 +71,11 @@ class DerivativeTable(NamedTuple):
 
         Row k has integer coefficients c_i and degree alpha - k, so the
         value is sum_i c_i p**i q**(alpha - i), which Horner's scheme
-        computes in ints.  k, p and q must be ints (``operator.index``); a
-        k outside 0..alpha//2 is a ValueError, not a row read from the
-        end, and so is a q below 1.
+        computes in ints.  k runs over 0..alpha//2, so a negative k is
+        refused, not read from the end; q is at least 1, and p any int.
         """
-        k, p, q = operator.index(k), operator.index(p), operator.index(q)
-        if q < 1:
-            raise ValueError(f"q={q} must be >= 1")
-        if not 0 <= k <= self.alpha // 2:
-            raise ValueError(f"k={k} outside 0..{self.alpha // 2} for alpha={self.alpha}")
+        k = _count(k, "k", 0, self.alpha // 2)
+        p, q = operator.index(p), _count(q, "q", 1)
         row = self.entries[k]
         value, qpow = 0, q ** (self.alpha - len(row) + 1)
         for c in reversed(row):
@@ -111,8 +107,7 @@ def derivative_table(alpha: int) -> DerivativeTable:
     leading coefficient has the sign (-1)**k at every level, as each step
     adds to it -(a - 2k + 2) <= -1 times row k-1's, of the other sign.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    alpha = _count(alpha, "alpha")
     prev: list[list[int]] = [[1]]
     for a in range(alpha):
         entries = []
@@ -168,15 +163,9 @@ def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
     The b-th coefficient is C(b + gamma, b) * (2b + gamma + 1)**alpha / alpha!,
     computed in ints by the cached kernel ``_w_residue_numerators``, which
     the residue route also reads directly; no Fraction is made.  Every
-    call charges its (order + 1)(alpha + 4) multiplications.  ``alpha``
-    and ``order`` must be ints (``operator.index``).
+    call charges its (order + 1)(alpha + 4) multiplications.
     """
-    alpha = operator.index(alpha)
-    order = operator.index(order)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    alpha, order = _count(alpha, "alpha"), _count(order, "order")
     p, q = _as_ratio(gamma)
     nums, den = _w_residue_numerators(alpha, p, q, order)
     _OPS.count += (order + 1) * (alpha + 4)
@@ -194,8 +183,7 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
     the sum (rather than dividing it out) keeps the form valid even at
     the negative integers gamma where that binomial vanishes.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    alpha, order = _count(alpha, "alpha"), _count(order, "order")
     g = as_rational(gamma)
     table = derivative_table(alpha)
     base = binomial_series(-1, -g - alpha - 1, order) * binomial_series(
@@ -229,12 +217,8 @@ def base_t_residue(s: int) -> int:
     This is the sum of the first s+1 binomials C(2s+1, j), which is half
     of 2**(2s+1) by symmetry of the binomial row.  Every call charges
     4s + (s+1)(s+2)/2, the ops of two binomial series and their product.
-    ``s`` must be an int (``operator.index``): a float would match a
-    cached int key.
     """
-    s = operator.index(s)
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    s = _count(s, "s")
     _OPS.count += 4 * s + (s + 1) * (s + 2) // 2
     return _t_residue(-1, 2 * s + 1, s)
 
@@ -246,12 +230,10 @@ def correction_t_residue(s: int, k: int) -> int:
     sign (-1)**(k-1), so the middle coefficient extracted here vanishes
     exactly for even k.  Odd k gives a genuinely nonzero value (k = 1
     yields the central binomial C(2s, s)); the product route never asks
-    for odd k because its correction polynomial is even.  Charged and
-    checked as ``base_t_residue`` is, with ``k`` an int too.
+    for odd k because its correction polynomial is even.  Charged as
+    ``base_t_residue`` is.
     """
-    s = operator.index(s)
-    k = operator.index(k)
-    if not 1 <= k <= 2 * s:
-        raise ValueError(f"k={k} outside 1..{2 * s} for s={s}")
+    s = _count(s, "s", 1)
+    k = _count(k, "k", 1, 2 * s)
     _OPS.count += 4 * s + (s + 1) * (s + 2) // 2
     return _t_residue(k - 1, 2 * s - k + 1, s)

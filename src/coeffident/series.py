@@ -27,6 +27,7 @@ from .algebra import (
     _SCALARS,
     Scalar,
     _as_ratio,
+    _count,
     _over_common_denominator,
     as_rational,
 )
@@ -91,13 +92,12 @@ class TSeries:
     __slots__ = ("order", "nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
+        order = order if order is None else _count(order, "order")
         cs = [as_rational(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
         if len(cs) <= order:
             cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         else:
@@ -203,6 +203,7 @@ def residue(series: TSeries, m: int) -> Fraction:
     Negative m gives 0 (the series has no pole); m past the truncation
     order is *unknown*, not zero, so that raises TruncationExceeded.
     """
+    m = operator.index(m)
     if m < 0:
         return Fraction(0)
     if m > series.order:
@@ -242,12 +243,9 @@ def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
 
     A ``TSeries`` over the cached integer kernel ``_binomial_numerators``,
     which the residue route also reads directly.  It makes no Fraction,
-    and every call charges its 2*order multiplications.  ``order`` must
-    be an int (``operator.index``): a float would match a cached int key.
+    and every call charges its 2*order multiplications.
     """
-    order = operator.index(order)
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    order = _count(order, "order")
     a, b = _as_ratio(c)
     p, q = _as_ratio(r)
     nums, den = _binomial_numerators(a, b, p, q, order)

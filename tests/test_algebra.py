@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from coeffident.algebra import (
     binomial,
     parse_rational,
 )
+from coeffident.identity import IdentityInstance
 from oracles import rising_factorial
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
@@ -60,6 +62,25 @@ def test_as_rational_rejects_floats():
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(1.0)
+
+
+def test_as_rational_reads_strings_as_the_command_line_does():
+    assert as_rational("1/2") == F(1, 2)
+    assert as_rational(" -3/4 ") == F(-3, 4)
+    assert as_rational("−5") == -5
+    # the command line refuses these; Fraction alone would accept them
+    for text in ("0.1", "1e3", "1_0", "+1"):
+        with pytest.raises(ValueError, match="not a rational"):
+            as_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_rational("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        IdentityInstance(0, (1,), ("1/0",))
+    # the other exact types are read as before
+    assert as_rational(3) == 3 and type(as_rational(3)) is F
+    assert as_rational(Decimal("0.25")) == F(1, 4)
+    half = F(1, 2)
+    assert as_rational(half) is half
 
 
 def test_binomial_and_poly_evaluation_refuse_floats():

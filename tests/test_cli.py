@@ -524,6 +524,18 @@ def test_records_are_written_past_the_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_run_without_a_digit_limit_writes_the_same_record(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no limit on int-string conversion to lift
+    argv = ["jseries", "--alpha", "2", "--gamma", "1/3", "--order", "3"]
+    limited = io.StringIO()
+    assert coeffident.cli.run(parse_config(argv), limited) == 0
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    out = io.StringIO()
+    assert coeffident.cli.run(parse_config(argv), out) == 0
+    assert out.getvalue() == limited.getvalue() != ""
+
+
 # --- one serializer ------------------------------------------------------------------------
 
 

@@ -1130,7 +1130,7 @@ def test_jobs_bound_checked_before_any_worker(runner, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     # the call itself raises, before any report is drawn
     for jobs in (MAX_JOBS + 1, 0, -1):
-        with pytest.raises(ValueError, match="MAX_JOBS"):
+        with pytest.raises(ValueError, match=rf"^jobs={jobs} outside 1\.\.{MAX_JOBS}$"):
             runner(0, 0, (0,), jobs=jobs)
     for jobs in (1.0, 2.0, 2.5):
         with pytest.raises(TypeError):
