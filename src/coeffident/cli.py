@@ -5,8 +5,8 @@ grid, ``lemma2`` / ``lemma3`` / ``jseries`` for inspecting the underlying
 tables and series.  Records are emitted one per line (JSON by default,
 CSV on request).
 
-The command line is read from one table, ``_COMMANDS``.  The first word
-names the subcommand; each flag after it is ``--name VALUE`` or
+Each subcommand is read and run from one table, ``_COMMANDS``.  The first
+word names it; each flag after it is ``--name VALUE`` or
 ``--name=VALUE``, spelled in full and given at most once.  The word after
 a flag is always its value, so ``--gamma -1/2,0`` works.  ``-h`` or
 ``--help``, alone or after a subcommand, prints a help page formatted
@@ -26,11 +26,10 @@ import sys
 from fractions import Fraction
 from typing import IO, Any, Callable, Iterable, NamedTuple
 
-from .algebra import _rational_parts, parse_rational
+from .algebra import _count, _rational_parts, parse_rational
 from .identity import (
     MAX_JOBS,
     IdentityInstance,
-    InvalidInstance,
     sweep,
     verify,
     verify_poly_gamma,
@@ -103,9 +102,9 @@ class _Flag(NamedTuple):
     """One flag of one subcommand.
 
     ``read`` turns its text into the ``field`` value; a ``ValueError``
-    becomes UsageError("--flag: ...").  The ``_integer`` flags are read
-    first, and each value must keep ``low <= value <= high``, so every
-    bound is checked before any other text is read.  An optional flag
+    becomes UsageError("--flag: ...").  A flag with a ``low`` bound is a
+    count: its value is checked by ``algebra._count`` under the flag's
+    name, so a bad one reads "--jobs=65 outside 1..64".  An optional flag
     that is not given leaves the ``CliConfig`` default.  ``metavar`` names
     the value on the help pages; by default it is the name in capitals."""
 
@@ -141,8 +140,77 @@ def _format(text: str) -> str:
 _FORMAT = _Flag("--format", "format", _format, optional=True, metavar="{json,csv}")
 
 
-# subcommand -> (help, flags)
-_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
+def _run_verify(cfg: CliConfig) -> list[dict]:
+    try:
+        inst = IdentityInstance(s=cfg.s, alpha=cfg.alpha, gamma=cfg.gamma)
+        if cfg.poly_gamma is not None:  # before any route runs
+            _count(cfg.poly_gamma, "--poly-gamma", 0, inst.d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    record = verify(inst).to_json_dict()
+    if cfg.poly_gamma is not None:
+        lhs, rhs, equal = verify_poly_gamma(inst, cfg.poly_gamma)
+        record["poly_gamma"] = cfg.poly_gamma
+        record["lhs_poly"] = [str(c) for c in lhs.coeffs]
+        # when the sides agree they are one polynomial, spelled once
+        record["rhs_poly"] = (
+            record["lhs_poly"] if rhs is lhs else [str(c) for c in rhs.coeffs]
+        )
+        record["poly_equal"] = equal
+    return [record]
+
+
+def _run_sweep(cfg: CliConfig) -> Iterable[dict]:
+    reports = sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
+    return (report.to_json_dict() for report in reports)
+
+
+def _run_lemma2(cfg: CliConfig) -> list[dict]:
+    table = derivative_table(cfg.alpha_value)
+    inv_fact = Fraction(1, math.factorial(cfg.alpha_value))
+    record = {
+        "alpha": table.alpha,
+        "entries": [[str(c) for c in row] for row in table.entries],
+        "weights": [[str(c * inv_fact) for c in row] for row in table.entries[1:]],
+    }
+    if cfg.format != "csv":
+        return [record]
+    # one CSV row per table row; row 0 has no weight
+    return [
+        {"alpha": table.alpha, "k": k, "entry": entry, "weight": weight}
+        for k, (entry, weight) in enumerate(
+            zip(record["entries"], [[]] + record["weights"])
+        )
+    ]
+
+
+def _run_lemma3(cfg: CliConfig) -> Iterable[dict]:
+    return (
+        {
+            "s": s,
+            "base": str(base_t_residue(s)),
+            "corrections": [
+                str(correction_t_residue(s, k)) for k in range(1, 2 * s + 1)
+            ],
+        }
+        for s in range(cfg.max_s + 1)
+    )
+
+
+def _run_jseries(cfg: CliConfig) -> list[dict]:
+    series = w_residue_series(cfg.alpha_value, cfg.gamma_value, cfg.order)
+    record = {
+        "alpha": cfg.alpha_value,
+        "gamma": str(cfg.gamma_value),
+        "order": cfg.order,
+        "variable": "t",
+        "coefficients": [str(c) for c in series.coeffs],
+    }
+    return [record]
+
+
+# subcommand -> (help, flags, runner); a runner returns the records to emit
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[[CliConfig], Iterable[dict]]]] = {
     "verify": (
         "check one instance by all routes",
         (
@@ -158,6 +226,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
             ),
             _FORMAT,
         ),
+        _run_verify,
     ),
     "sweep": (
         "verify a whole parameter grid",
@@ -169,6 +238,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
             _Flag("--jobs", "jobs", low=1, high=MAX_JOBS, optional=True),
             _FORMAT,
         ),
+        _run_sweep,
     ),
     "lemma2": (
         "print a derivative-expansion table",
@@ -182,10 +252,12 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
             ),
             _FORMAT,
         ),
+        _run_lemma2,
     ),
     "lemma3": (
         "print base and correction residues",
         (_Flag("--max-s", "max_s", low=0), _FORMAT),
+        _run_lemma3,
     ),
     "jseries": (
         "print one coordinate's residue series",
@@ -195,6 +267,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
             _Flag("--order", "order", low=0),
             _FORMAT,
         ),
+        _run_jseries,
     ),
 }
 
@@ -203,7 +276,7 @@ _DESCRIPTION = (
     "Exact verification of a multi-binomial identity by independent evaluation routes."
 )
 # subcommand -> {flag name: flag}
-_FLAGS = {sub: {flag.name: flag for flag in flags} for sub, (_, flags) in _COMMANDS.items()}
+_FLAGS = {sub: {flag.name: flag for flag in flags} for sub, (_, flags, _) in _COMMANDS.items()}
 _HELP_FLAGS = ("-h", "--help")
 
 
@@ -218,7 +291,7 @@ def parse_config(argv: list[str]) -> CliConfig:
     if flags is None:
         problem = "a subcommand is required" if sub is None else f"invalid choice: {sub!r}"
         raise _grammar_error(None, f"{problem} (choose from {', '.join(_COMMANDS)})")
-    given: dict[str, tuple[_Flag, str]] = {}
+    values: dict[str, Any] = {}  # field -> value, read in argv order
     tokens = iter(argv[1:])
     for token in tokens:
         name, eq, text = token.partition("=")
@@ -231,31 +304,28 @@ def parse_config(argv: list[str]) -> CliConfig:
             text = next(tokens, None)
             if text is None:
                 raise _grammar_error(sub, f"{name} expects a value")
-        if name in given:
+        if flag.field in values:
             raise _grammar_error(sub, f"{name} is given more than once")
-        given[name] = flag, text
-    missing = [name for name, flag in flags.items() if not (flag.optional or name in given)]
+        values[flag.field] = _read(flag, text)
+    missing = [name for name, flag in flags.items() if not (flag.optional or flag.field in values)]
     if missing:
         raise _grammar_error(sub, "the following flags are required: " + ", ".join(missing))
-    values = {}
-    for flag, text in given.values():  # every integer and its bounds first
-        if flag.read is _integer:
-            values[flag.field] = value = _read(flag, text)
-            if flag.high is not None and not flag.low <= value <= flag.high:
-                raise UsageError(f"{flag.name} must be in {flag.low}..{flag.high}")
-            if flag.low is not None and value < flag.low:
-                raise UsageError(f"{flag.name} must be >= {flag.low}")
-    for flag, text in given.values():
-        if flag.read is not _integer:
-            values[flag.field] = _read(flag, text)
     return CliConfig(sub, **values)
 
 
 def _read(flag: _Flag, text: str) -> Any:
+    """``text`` as ``flag``'s value; a count flag's value is checked by
+    ``_count``, whose message starts with the flag's name."""
     try:
-        return flag.read(text)
+        value = flag.read(text)
     except ValueError as exc:
         raise UsageError(f"{flag.name}: {exc}") from None
+    if flag.low is None:
+        return value
+    try:
+        return _count(value, flag.name, flag.low, flag.high)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _grammar_error(sub: str | None, message: str) -> UsageError:
@@ -289,9 +359,9 @@ def _help(sub: str | None) -> str:
     """The help page of ``sub``, or of the program when ``sub`` is None."""
     if sub is None:
         about = _DESCRIPTION
-        sections = {"subcommands:": [(name, text) for name, (text, _) in _COMMANDS.items()]}
+        sections = {"subcommands:": [(name, text) for name, (text, _, _) in _COMMANDS.items()]}
     else:
-        about, flags = _COMMANDS[sub]
+        about, flags, _ = _COMMANDS[sub]
         sections = {"options:": [(flag.invocation, flag.help) for flag in flags]}
     sections.setdefault("options:", []).insert(0, ("-h, --help", "show this help and exit"))
     column = 4 + max(len(left) for rows in sections.values() for left, _ in rows)
@@ -339,98 +409,16 @@ def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
     return 0 if ok else 1
 
 
-def _run_verify(cfg: CliConfig, out: IO[str]) -> int:
-    try:
-        inst = IdentityInstance(s=cfg.s, alpha=cfg.alpha, gamma=cfg.gamma)
-    except InvalidInstance as exc:
-        raise UsageError(str(exc)) from None
-    if cfg.poly_gamma is not None and not 0 <= cfg.poly_gamma <= inst.d:
-        raise UsageError(f"--poly-gamma index {cfg.poly_gamma} outside 0..{inst.d}")
-    record = verify(inst).to_json_dict()
-    if cfg.poly_gamma is not None:
-        lhs, rhs, equal = verify_poly_gamma(inst, cfg.poly_gamma)
-        record["poly_gamma"] = cfg.poly_gamma
-        record["lhs_poly"] = [str(c) for c in lhs.coeffs]
-        # when the sides agree they are one polynomial, spelled once
-        record["rhs_poly"] = (
-            record["lhs_poly"] if rhs is lhs else [str(c) for c in rhs.coeffs]
-        )
-        record["poly_equal"] = equal
-    return _emit(out, cfg.format, [record])
-
-
-def _run_sweep(cfg: CliConfig, out: IO[str]) -> int:
-    reports = sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
-    return _emit(out, cfg.format, (report.to_json_dict() for report in reports))
-
-
-def _run_lemma2(cfg: CliConfig, out: IO[str]) -> int:
-    table = derivative_table(cfg.alpha_value)
-    inv_fact = Fraction(1, math.factorial(cfg.alpha_value))
-    record = {
-        "alpha": table.alpha,
-        "entries": [[str(c) for c in row] for row in table.entries],
-        "weights": [[str(c * inv_fact) for c in row] for row in table.entries[1:]],
-    }
-    records = [record]
-    if cfg.format == "csv":
-        # one CSV row per table row; row 0 has no weight
-        records = [
-            {"alpha": table.alpha, "k": k, "entry": entry, "weight": weight}
-            for k, (entry, weight) in enumerate(
-                zip(record["entries"], [[]] + record["weights"])
-            )
-        ]
-    return _emit(out, cfg.format, records)
-
-
-def _run_lemma3(cfg: CliConfig, out: IO[str]) -> int:
-    records = (
-        {
-            "s": s,
-            "base": str(base_t_residue(s)),
-            "corrections": [
-                str(correction_t_residue(s, k)) for k in range(1, 2 * s + 1)
-            ],
-        }
-        for s in range(cfg.max_s + 1)
-    )
-    return _emit(out, cfg.format, records)
-
-
-def _run_jseries(cfg: CliConfig, out: IO[str]) -> int:
-    series = w_residue_series(cfg.alpha_value, cfg.gamma_value, cfg.order)
-    record = {
-        "alpha": cfg.alpha_value,
-        "gamma": str(cfg.gamma_value),
-        "order": cfg.order,
-        "variable": "t",
-        "coefficients": [str(c) for c in series.coeffs],
-    }
-    return _emit(out, cfg.format, [record])
-
-
-_RUNNERS = {
-    "verify": _run_verify,
-    "sweep": _run_sweep,
-    "lemma2": _run_lemma2,
-    "lemma3": _run_lemma3,
-    "jseries": _run_jseries,
-}
-
-
 def run(cfg: CliConfig, out: IO[str] | None = None) -> int:
     """Write a parsed command's records to ``out`` (default stdout) and
     return the exit status.  argv is read under the interpreter's limit on
     int-string conversion, but a record may hold longer numbers, so the
-    limit (absent before 3.10.7) is lifted while the records are written."""
-    runner, out = _RUNNERS[cfg.subcommand], out if out is not None else sys.stdout
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return runner(cfg, out)
+    limit is lifted while the records are made and written."""
+    runner = _COMMANDS[cfg.subcommand][2]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return runner(cfg, out)
+        return _emit(out if out is not None else sys.stdout, cfg.format, runner(cfg))
     finally:
         sys.set_int_max_str_digits(limit)
 

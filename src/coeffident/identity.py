@@ -203,13 +203,16 @@ def _coordinate_factors(
     return tuple(n // common for n in nums), den // common
 
 
-def _instance_tables(inst: IdentityInstance) -> tuple[list[tuple[int, ...]], int]:
-    """Every coordinate's integer factor table, and the product of their
-    denominators: the denominator of each composition product."""
+def _instance_tables(
+    alpha: Sequence[int], pairs: Sequence[tuple[int, int]], s: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """Each coordinate's integer factor table to b = s (exponents ``alpha``,
+    gamma pairs (p, q)), and the product of their denominators: the
+    denominator of each composition product."""
     tables = []
     den = 1
-    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
-        nums, table_den = _coordinate_factors(a, p, q, inst.s)
+    for a, (p, q) in zip(alpha, pairs):
+        nums, table_den = _coordinate_factors(a, p, q, s)
         tables.append(nums)
         den *= table_den
     return tables, den
@@ -267,14 +270,14 @@ def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     """The inner sum S_j: compositions of s-j across the coordinates."""
     j = _count(j, "j", 0, inst.s)
-    tables, den = _instance_tables(inst)
+    tables, den = _instance_tables(inst.alpha, inst._gamma_pairs, inst.s)
     return Fraction(_composition_sums(tables, inst.s - j)[0][-1], den)
 
 
 def _lhs_direct_counted(inst: IdentityInstance) -> tuple[tuple[int, int], int]:
     """The direct left side as an integer numerator and positive
     denominator (not reduced), and the number of compositions summed."""
-    tables, den = _instance_tables(inst)
+    tables, den = _instance_tables(inst.alpha, inst._gamma_pairs, inst.s)
     sums, terms = _composition_sums(tables, inst.s)
     # the alternating j-sum: S_j is sums[s - j]
     weights, scale = _falling_weights(*inst._top_pair, inst.s)
@@ -631,20 +634,19 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     node.  The regrouped sum is the same exact sum, so every value
     equals ``lhs_direct`` of the pinned instance.
     """
-    s = inst.s
-    alpha_c = inst.alpha[coordinate]
-    others = [
-        _coordinate_factors(a, p, q, s)
-        for i, (a, (p, q)) in enumerate(zip(inst.alpha, inst._gamma_pairs))
-        if i != coordinate
-    ]
-    rest_den = math.prod(den for _, den in others)
+    s, alpha, pairs = inst.s, inst.alpha, inst._gamma_pairs
+    alpha_c = alpha[coordinate]
+    others, rest_den = _instance_tables(
+        alpha[:coordinate] + alpha[coordinate + 1 :],
+        pairs[:coordinate] + pairs[coordinate + 1 :],
+        s,
+    )
     if others:
-        rest = _composition_sums([nums for nums, _ in others], s)[0]
+        rest = _composition_sums(others, s)[0]
     else:
         rest = [1] + [0] * s
     # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
-    (top_p, top_q), (p_c, q_c) = inst._top_pair, inst._gamma_pairs[coordinate]
+    (top_p, top_q), (p_c, q_c) = inst._top_pair, pairs[coordinate]
     q0 = top_q * q_c
     p0 = top_p * q_c - p_c * top_q
     common = math.gcd(p0, q0)
