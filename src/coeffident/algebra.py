@@ -3,9 +3,10 @@
 The scalar domain for the whole package is ``fractions.Fraction``:
 arbitrary precision, always in lowest terms with positive denominator, so
 equality is bit-exact.  Floats are refused everywhere they could sneak in.
-``Poly`` adds dense univariate polynomials over that domain; the package
-returns them only from ``verify_poly_gamma``, which certifies an identity
-as a *polynomial* identity rather than a numerical coincidence.
+``Poly`` holds the coefficients of a dense univariate polynomial over
+that domain; the package returns it only from ``verify_poly_gamma``,
+which certifies an identity as a *polynomial* identity rather than a
+numerical coincidence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 __all__ = [
     "as_rational",
@@ -24,7 +25,6 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-_SCALARS = (int, Fraction)
 
 _RATIONAL_PATTERN = re.compile(r"^-?\d+(?:/\d+)?$", re.ASCII)
 
@@ -75,14 +75,6 @@ def _as_ratio(value: Scalar) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over their lowest common denominator:
-    ``values[i] == Fraction(nums[i], den)`` for ``nums, den``.  Exact kernels
-    sum these numerators as ints and make one Fraction at the end."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a rational in canonical ``p/q`` (or plain ``p``) form.
 
@@ -130,11 +122,12 @@ class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored lowest degree first with trailing zeros
-    stripped, so equal polynomials compare equal; the zero polynomial has
-    an empty coefficient tuple and degree -1.  Every polynomial is tagged
-    with the name of its indeterminate and arithmetic between different
-    indeterminates is refused.  Instances are immutable in practice
-    (tuple storage, no mutating methods) and hashable.
+    stripped, so equal polynomials have equal ``coeffs``; the zero
+    polynomial has an empty coefficient tuple and degree -1.  Every
+    polynomial is tagged with the name of its indeterminate, and the one
+    operation, the product, refuses two different indeterminates.
+    Instances are immutable in practice (tuple storage, no mutating
+    methods).
     """
 
     __slots__ = ("coeffs", "var")
@@ -146,11 +139,6 @@ class Poly:
         self.coeffs = tuple(normalized)
         self.var = var
 
-    @classmethod
-    def indeterminate(cls, var: str = "gamma") -> "Poly":
-        """The polynomial x itself."""
-        return cls((0, 1), var)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -161,31 +149,11 @@ class Poly:
             return self.coeffs[k]
         return Fraction(0)
 
-    def _check_var(self, other: "Poly") -> None:
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.var != other.var:
             raise ValueError(f"indeterminate mismatch: {self.var!r} vs {other.var!r}")
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly((other,), self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n)),
-            self.var,
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            factor = as_rational(other)
-            return Poly((factor * c for c in self.coeffs), self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
         if not self.coeffs or not other.coeffs:
             return Poly((), self.var)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -193,30 +161,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out, self.var)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Horner evaluation; the argument may be any ring element but a
-        float, which is refused as ``as_rational`` refuses it."""
-        _refuse_float(x)
-        result = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly((other,), self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a constant compares equal to its scalar, so it must hash like it
-        if len(self.coeffs) <= 1:
-            return hash(self.coefficient(0))
-        return hash((self.var, self.coeffs))
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]}, var={self.var!r})"

@@ -123,8 +123,10 @@ class _Flag(NamedTuple):
         return f"{self.name} {self.metavar or self.name[2:].upper().replace('-', '_')}"
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(_integer(piece) for piece in text.split(","))
+def _alphas(text: str) -> tuple[int, ...]:
+    """Comma-separated counts, each checked as ``IdentityInstance`` checks
+    an alpha_i, so that the flag reading the vector names a bad entry."""
+    return tuple(_count(_integer(piece), "alpha_i") for piece in text.split(","))
 
 
 def _rationals(text: str) -> tuple[Fraction, ...]:
@@ -214,8 +216,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[[CliConfig], Iterabl
     "verify": (
         "check one instance by all routes",
         (
-            _Flag("--s", "s", help="outer parameter s >= 0"),
-            _Flag("--alpha", "alpha", _ints, help="comma-separated integers"),
+            _Flag("--s", "s", low=0, help="outer parameter s >= 0"),
+            _Flag("--alpha", "alpha", _alphas, help="comma-separated integers"),
             _Flag("--gamma", "gamma", _rationals, help="comma-separated rationals p/q"),
             _Flag(
                 "--poly-gamma",

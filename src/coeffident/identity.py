@@ -357,7 +357,7 @@ def _correction_numerators(
     benchmark's traced replay makes the same lookups and checks the
     table's hit ratio against the untraced run.
     ``test_verify_looks_up_the_derivative_table_once_per_weight`` pins the
-    count until ROADMAP item 3 replaces the replay with the program's meter.
+    count until a meter of the program's own calls replaces the replay.
     """
     nums, den, lead_num, lead_den = [1], 1, 1, 1
     for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):

@@ -169,35 +169,39 @@ def w_residue_series(alpha: int, gamma, order: int) -> TSeries:
     p, q = _as_ratio(gamma)
     nums, den = _w_residue_numerators(alpha, p, q, order)
     _OPS.count += (order + 1) * (alpha + 4)
-    return TSeries._reduced(nums, den, order)
+    return TSeries(nums, den, order)
 
 
 def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
-    """Same series as ``w_residue_series``, via the derivative table:
+    """Same series as ``w_residue_series``, via the derivative table: the
+    module docstring's display with the prefactor distributed over the sum,
 
-        (1-t)**(-gamma-alpha-1) * (1+t)**alpha
-            * sum_k weight_k * ((1-t)/(1+t))**(2k)
+        sum_k weight_k * (1-t)**(2k-gamma-alpha-1) * (1+t)**(alpha-2k),
 
-    with weight_k = entries[k](gamma) / alpha!.  The k = 0 term carries
-    the binomial C(alpha + gamma, alpha); keeping the prefactor inside
-    the sum (rather than dividing it out) keeps the form valid even at
-    the negative integers gamma where that binomial vanishes.
+    which keeps the form valid even at the negative integers gamma where
+    the k = 0 weight C(alpha + gamma, alpha) vanishes.  Each term is a
+    product of two ``binomial_series``; at gamma = p/q the weights share
+    the denominator q**alpha alpha!, so the terms are weighted by
+    ``scaled_row`` and summed on integer numerators, each weighting
+    charged order + 1 multiplications.
     """
     alpha, order = _count(alpha, "alpha"), _count(order, "order")
     g = as_rational(gamma)
+    p, q = g.numerator, g.denominator
     table = derivative_table(alpha)
-    base = binomial_series(-1, -g - alpha - 1, order) * binomial_series(
-        1, alpha, order
-    )
-    bracket = TSeries.constant(table.weight(0, g), order)
-    if alpha >= 2:
-        ratio = binomial_series(-1, 1, order) * binomial_series(1, -1, order)
-        ratio_sq = ratio * ratio
-        upow = TSeries.one(order)
-        for k in range(1, alpha // 2 + 1):
-            upow = upow * ratio_sq
-            bracket = bracket + upow.scale(table.weight(k, g))
-    return base * bracket
+    nums, den = [0] * (order + 1), 1
+    for k in range(alpha // 2 + 1):
+        term = binomial_series(-1, 2 * k - g - alpha - 1, order) * binomial_series(
+            1, alpha - 2 * k, order
+        )
+        weight, common = table.scaled_row(k, p, q), math.lcm(den, term.den)
+        nums = [
+            n * (common // den) + weight * m * (common // term.den)
+            for n, m in zip(nums, term.nums)
+        ]
+        den = common
+    _OPS.count += (alpha // 2 + 1) * (order + 1)
+    return TSeries(nums, den * q**alpha * math.factorial(alpha), order)
 
 
 @lru_cache(maxsize=256)

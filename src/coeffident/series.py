@@ -2,11 +2,12 @@
 
 ``TSeries`` is a series in t cut off after an explicit order, held as
 order + 1 integer numerators (zeros kept) over one denominator, so the
-order is part of the value.  It has sums, scalar multiples, the
-truncated product and coefficient extraction by ``residue``.
-``binomial_series`` expands (1 + c*x)**r for any rational r.  The blind bivariate expansion that the tests
-compare the derivative table against, with its inverse and rational
-powers, is in ``tests/oracles.py``, not here.
+order is part of the value.  It has one operation, the truncated
+product, and ``residue`` extracts a coefficient: the method of
+coefficients needs no more.  ``binomial_series`` expands (1 + c*x)**r
+for any rational r.  The blind bivariate expansion that the tests
+compare the derivative table against is in ``tests/oracles.py``, on a
+series type of its own, not here.
 
 Everything here is formal: no convergence reasoning, no floats, no
 analytic continuation.  A module-level counter tallies coefficient
@@ -21,16 +22,9 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .algebra import (
-    _SCALARS,
-    Scalar,
-    _as_ratio,
-    _count,
-    _over_common_denominator,
-    as_rational,
-)
+from .algebra import Scalar, _as_ratio, _count
 
 __all__ = [
     "TruncationExceeded",
@@ -79,51 +73,29 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 class TSeries:
     """Series sum_k c_k x**k truncated after x**order.
 
-    The coefficients are stored as integer numerators ``nums`` (one per
-    power, zeros kept) over one positive denominator ``den``, reduced so
-    that gcd(den, *nums) == 1; equal series therefore have equal
+    ``TSeries(nums, den, order)`` is the series sum_k nums[k]/den x**k:
+    integer numerators, one per power up to the order (zeros kept), over
+    one positive denominator.  The constructor reduces them by one gcd,
+    so that gcd(den, *nums) == 1 and equal series have equal
     ``(order, nums, den)``.  ``coeffs``, the tuple of ``Fraction``
     coefficients, is derived from that form when something reads it.
-    Arithmetic between series of different orders truncates to the
-    shorter one (the longer tail would be unreliable anyway).  Instances
-    are immutable in practice and hashable.
+    The product of two series truncates to the shorter order (the longer
+    tail would be unreliable anyway).  Instances are immutable in
+    practice.
     """
 
     __slots__ = ("order", "nums", "den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        order = order if order is None else _count(order, "order")
-        cs = [as_rational(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(cs) - 1
-        if len(cs) <= order:
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        else:
-            del cs[order + 1 :]
-        # over the lowest common denominator the numerators are already
-        # coprime to it, so no reduction is needed
-        nums, den = _over_common_denominator(cs)
-        self.order = order
-        self.nums = tuple(nums)
-        self.den = den
-        self._coeffs = None
-
-    @classmethod
-    def _reduced(cls, nums: Sequence[int], den: int, order: int) -> "TSeries":
-        """The series sum_k nums[k]/den x**k (len(nums) == order + 1,
-        den > 0), brought to lowest terms by one gcd."""
+    def __init__(self, nums: Sequence[int], den: int, order: int):
+        order = _count(order, "order")
+        den = _count(den, "den", 1)
+        if len(nums) != order + 1:
+            raise ValueError(f"{len(nums)} numerators for order {order}, not order + 1")
         g = math.gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-        series = object.__new__(cls)
-        series.order = order
-        series.nums = tuple(nums)
-        series.den = den
-        series._coeffs = None
-        return series
+        self.order = order
+        self.nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
+        self.den = den // g
+        self._coeffs = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -133,68 +105,15 @@ class TSeries:
             self._coeffs = tuple(Fraction(n, den) for n in self.nums)
         return self._coeffs
 
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TSeries":
-        return cls((value,), order)
-
-    @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return cls.constant(1, order)
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            c = as_rational(other)
-            nums = [n * c.denominator for n in self.nums]
-            nums[0] += c.numerator * self.den
-            return TSeries._reduced(nums, self.den * c.denominator, self.order)
+    def __mul__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        nums = [
-            x * fa + y * fb for x, y in zip(self.nums[: n + 1], other.nums[: n + 1])
-        ]
-        return TSeries._reduced(nums, self.den * fa, n)
-
-    __radd__ = __add__
-
-    def scale(self, factor: Scalar) -> "TSeries":
-        c = as_rational(factor)
-        _OPS.count += self.order + 1
-        return TSeries._reduced(
-            [c.numerator * n for n in self.nums], self.den * c.denominator, self.order
-        )
-
-    def __mul__(self, other):
-        # the series case first: it is the common one, and an exact type
-        # test costs less than isinstance against a tuple of types
-        if type(other) is not TSeries:
-            if isinstance(other, _SCALARS):
-                return self.scale(other)
-            if not isinstance(other, TSeries):
-                return NotImplemented
         n = min(self.order, other.order)
         _OPS.count += (n + 1) * (n + 2) // 2
-        out = _convolve(self.nums, other.nums, n)
-        return TSeries._reduced(out, self.den * other.den, n)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.nums, self.den))
+        return TSeries(_convolve(self.nums, other.nums, n), self.den * other.den, n)
 
     def __repr__(self):
-        return f"TSeries({[str(c) for c in self.coeffs]}, order={self.order})"
+        return f"TSeries({list(self.nums)}, {self.den}, {self.order})"
 
 
 def residue(series: TSeries, m: int) -> Fraction:
@@ -250,4 +169,4 @@ def binomial_series(c: Scalar, r: Scalar, order: int) -> TSeries:
     p, q = _as_ratio(r)
     nums, den = _binomial_numerators(a, b, p, q, order)
     _OPS.count += 2 * order
-    return TSeries._reduced(nums, den, order)
+    return TSeries(nums, den, order)

@@ -5,27 +5,33 @@ The package evaluates [w**alpha] of the exponential core
 (``w_residue_closed``) and as a term-by-term sum (``w_residue_series``).
 ``nested_exp_core`` computes the same coefficient blind: it expands the
 core as a bivariate series and raises it to a rational power, with no
-derivative table and no closed form.  What it needs lives here:
+derivative table, no closed form and none of the package's series
+arithmetic.  What it needs lives here:
 
+* ``Series``, a truncated series held as a tuple of ``Fraction``
+  coefficients, with ``+``, ``*`` and ``scale``;
 * ``inverse``, ``power``, ``pow_rational`` and ``subtract`` on a
-  ``TSeries``, written with its public API only (the constructor,
-  ``coeffs``, ``+``, ``scale``, ``*``, ``constant`` and ``one``);
+  ``Series``;
 * ``rational_power``, the exact rational power of a scalar;
 * ``NestedSeries``, a series in an outer variable w whose coefficients
-  are ``TSeries`` in an inner variable t;
-* ``rising_factorial``, the product x (x+1) ... (x+n-1), which also takes
-  a ``Poly``.
+  are ``Series`` in an inner variable t;
+* ``rising_factorial``, the product x (x+1) ... (x+n-1), and
+  ``rising_coefficients``, the integer coefficients of (x+1) ... (x+n);
+* ``poly_value``, a polynomial's value from its coefficients.
 
-None of this is imported by the package.
+``over_common_denominator`` writes a list of ``Fraction``s in the
+package's integer form.  None of this is imported by the package, and
+nothing here is imported from ``coeffident.series``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from coeffident.algebra import Scalar, as_rational
-from coeffident.series import TruncationExceeded, TSeries
 
 
 class NonUnitSeries(ArithmeticError):
@@ -46,39 +52,118 @@ def rising_factorial(x, n: int):
     return acc
 
 
+def poly_value(coeffs: Sequence[Scalar], x: Scalar) -> Fraction:
+    """sum_k coeffs[k] * x**k, exactly: the value at x of the polynomial
+    with these coefficients, lowest degree first."""
+    x = as_rational(x)
+    return sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def rising_coefficients(n: int) -> tuple[int, ...]:
+    """Coefficients of (x+1)(x+2)...(x+n), lowest degree first, multiplied
+    out one factor at a time in ints."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = [i * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their lowest common denominator:
+    ``values[i] == Fraction(nums[i], den)``, and gcd(den, *nums) == 1."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 # ---------------------------------------------------------------------------
-# TSeries operations the package does not need
+# truncated series of Fractions
 
 
-def subtract(a: TSeries, b) -> TSeries:
+class Series(tuple):
+    """Series sum_k c_k t**k truncated after t**order, as the tuple of its
+    ``Fraction`` coefficients, lowest power first; the order is len - 1.
+
+    The constructor pads with zeros or truncates to ``order``.  ``+`` and
+    ``*`` take only another series and truncate to the shorter order, so
+    they never fall back to a tuple's concatenation or repetition;
+    ``scale`` multiplies by a scalar.
+    Equality and hashing are the tuple's, so a series equals the
+    ``coeffs`` of a package series with the same coefficients.
+    """
+
+    def __new__(cls, coeffs: Iterable[Scalar], order: int | None = None):
+        cs = [as_rational(c) for c in coeffs]
+        if order is None:
+            if not cs:
+                raise ValueError("empty coefficient list needs an explicit order")
+            order = len(cs) - 1
+        if order < 0:
+            raise ValueError(f"order={order} must be >= 0")
+        return super().__new__(cls, (cs + [Fraction(0)] * order)[: order + 1])
+
+    @classmethod
+    def constant(cls, value: Scalar, order: int) -> "Series":
+        return cls((value,), order)
+
+    @classmethod
+    def one(cls, order: int) -> "Series":
+        return cls.constant(1, order)
+
+    @property
+    def order(self) -> int:
+        return len(self) - 1
+
+    def __add__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return Series(map(operator.add, self, other))
+
+    def __mul__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return Series(
+            sum(map(operator.mul, self[: k + 1], other[k::-1]), Fraction(0))
+            for k in range(min(len(self), len(other)))
+        )
+
+    __rmul__ = __mul__
+
+    def scale(self, factor: Scalar) -> "Series":
+        c = as_rational(factor)
+        return Series(c * x for x in self)
+
+    def __repr__(self):
+        return f"Series({[str(c) for c in self]})"
+
+
+def subtract(a: Series, b) -> Series:
     """a - b for a series b, truncated to the shorter order, or a scalar b."""
-    if isinstance(b, TSeries):
-        return a + b.scale(-1)
-    return a + -as_rational(b)
+    if not isinstance(b, Series):
+        b = Series.constant(b, a.order)
+    return a + b.scale(-1)
 
 
-def inverse(series: TSeries) -> TSeries:
+def inverse(series: Series) -> Series:
     """Multiplicative inverse to the same order, by the usual recursion."""
-    cs = series.coeffs
-    u = cs[0]
+    u = series[0]
     if u == 0:
         raise NonUnitSeries("cannot invert a series with zero constant term")
     inv0 = 1 / u
     out = [inv0]
     for k in range(1, series.order + 1):
-        tail = sum((cs[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        tail = sum((series[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
         out.append(-inv0 * tail)
-    return TSeries(out, series.order)
+    return Series(out)
 
 
-def power(series: TSeries, n: int) -> TSeries:
+def power(series: Series, n: int) -> Series:
     """series**n for an integer n, by repeated squaring; a negative n
     inverts first."""
     if not isinstance(n, int):
         raise TypeError("use pow_rational for fractional exponents")
     if n < 0:
         return power(inverse(series), -n)
-    result = TSeries.one(series.order)
+    result = Series.one(series.order)
     base = series
     while n:
         if n & 1:
@@ -89,7 +174,7 @@ def power(series: TSeries, n: int) -> TSeries:
     return result
 
 
-def pow_rational(series: TSeries, exponent: Scalar) -> TSeries:
+def pow_rational(series: Series, exponent: Scalar) -> Series:
     """Raise a unit series to an exact rational power.
 
     The constant term u must be nonzero, and u**exponent must itself
@@ -99,12 +184,12 @@ def pow_rational(series: TSeries, exponent: Scalar) -> TSeries:
     constant term.
     """
     r = as_rational(exponent)
-    u = series.coeffs[0]
+    u = series[0]
     if u == 0:
         raise NonUnitSeries("pow_rational needs a nonzero constant term")
     lead = rational_power(u, r)
     v = subtract(series.scale(1 / u), 1)
-    return _one_plus_power(TSeries.one(series.order), v, r, series.order).scale(lead)
+    return _one_plus_power(Series.one(series.order), v, r, series.order).scale(lead)
 
 
 def _one_plus_power(one, v, r: Fraction, order: int):
@@ -175,17 +260,17 @@ def _exact_root(n: int, k: int) -> int | None:
 
 
 class NestedSeries:
-    """Series in an outer variable whose coefficients are TSeries.
+    """Series in an outer variable whose coefficients are Series.
 
     The outer variable (w) is always resolved first: ``coefficient(k)``
-    hands back an ordinary TSeries in the inner variable, and nothing
+    hands back an ordinary Series in the inner variable, and nothing
     done to the nested series afterwards can reach into it.  All inner
     series must share one truncation order.
     """
 
     __slots__ = ("coeffs", "w_order", "t_order")
 
-    def __init__(self, coeffs: Sequence[TSeries], w_order: int | None = None):
+    def __init__(self, coeffs: Sequence[Series], w_order: int | None = None):
         rows = list(coeffs)
         if not rows:
             raise ValueError("a nested series needs at least the w**0 coefficient")
@@ -197,7 +282,7 @@ class NestedSeries:
         if w_order < 0:
             raise ValueError("outer truncation order must be >= 0")
         if len(rows) <= w_order:
-            zero = TSeries.constant(0, t_order)
+            zero = Series.constant(0, t_order)
             rows.extend([zero] * (w_order + 1 - len(rows)))
         else:
             del rows[w_order + 1 :]
@@ -207,14 +292,14 @@ class NestedSeries:
 
     @classmethod
     def one(cls, t_order: int, w_order: int) -> "NestedSeries":
-        return cls([TSeries.one(t_order)], w_order)
+        return cls([Series.one(t_order)], w_order)
 
-    def coefficient(self, k: int) -> TSeries:
+    def coefficient(self, k: int) -> Series:
         """The w**k coefficient; negative k is zero, past w_order unknown."""
         if k < 0:
-            return TSeries.constant(0, self.t_order)
+            return Series.constant(0, self.t_order)
         if k > self.w_order:
-            raise TruncationExceeded(
+            raise LookupError(
                 f"w-coefficient {k} lies beyond truncation order {self.w_order}"
             )
         return self.coeffs[k]
@@ -236,15 +321,15 @@ class NestedSeries:
         )
 
     def scale(self, factor) -> "NestedSeries":
-        """Multiply every w-coefficient by a scalar or by a TSeries in t."""
-        if isinstance(factor, TSeries):
+        """Multiply every w-coefficient by a scalar or by a Series in t."""
+        if isinstance(factor, Series):
             return NestedSeries([row * factor for row in self.coeffs], self.w_order)
         return NestedSeries(
             [row.scale(factor) for row in self.coeffs], self.w_order
         )
 
     def __mul__(self, other):
-        if isinstance(other, (TSeries, int, Fraction)):
+        if isinstance(other, (Series, int, Fraction)):
             return self.scale(other)
         if not isinstance(other, NestedSeries):
             return NotImplemented
@@ -252,24 +337,22 @@ class NestedSeries:
         t_order = min(self.t_order, other.t_order)
         rows = []
         for k in range(n + 1):
-            acc = TSeries.constant(0, t_order)
+            acc = Series.constant(0, t_order)
             for i in range(k + 1):
                 acc = acc + self.coeffs[i] * other.coeffs[k - i]
             rows.append(acc)
         return NestedSeries(rows, n)
 
-    __rmul__ = __mul__
-
     def pow_rational(self, exponent: Scalar) -> "NestedSeries":
         """Rational power via u**r * (1 + v)**r, u = the w**0 coefficient.
 
-        u must be a unit TSeries (nonzero constant term) whose own
+        u must be a unit Series (nonzero constant term) whose own
         rational power exists; v = self/u - 1 has a zero w**0 coefficient
         so its powers terminate at the outer truncation order.
         """
         r = as_rational(exponent)
         u = self.coeffs[0]
-        if u.coeffs[0] == 0:
+        if u[0] == 0:
             raise NonUnitSeries("the w**0 coefficient is not a unit series")
         lead = pow_rational(u, r)
         one = NestedSeries.one(self.t_order, self.w_order)
@@ -280,9 +363,6 @@ class NestedSeries:
         if not isinstance(other, NestedSeries):
             return NotImplemented
         return self.w_order == other.w_order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.w_order, self.coeffs))
 
     def __repr__(self):
         return f"NestedSeries({list(self.coeffs)!r}, w_order={self.w_order})"
@@ -304,6 +384,6 @@ def nested_exp_core(gamma: Scalar, t_order: int, w_order: int) -> NestedSeries:
         if n:
             inv_fact /= n
         sign = 1 if n % 2 == 0 else -1
-        rows.append(TSeries((sign * inv_fact, -inv_fact), t_order))
+        rows.append(Series((sign * inv_fact, -inv_fact), t_order))
     core = NestedSeries(rows, w_order)
     return core.pow_rational(-1 - g)

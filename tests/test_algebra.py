@@ -83,17 +83,14 @@ def test_as_rational_reads_strings_as_the_command_line_does():
     assert as_rational(half) is half
 
 
-def test_binomial_and_poly_evaluation_refuse_floats():
+def test_binomial_refuses_floats():
     with pytest.raises(TypeError, match="refusing float"):
         binomial(0.5, 2)
     with pytest.raises(TypeError, match="refusing float"):
         binomial(0.5, -1)
-    with pytest.raises(TypeError, match="refusing float"):
-        Poly([1, 1])(0.5)
     # int and Fraction arguments keep their exact results
     assert binomial(5, 2) == 10 and type(binomial(5, 2)) is F
-    assert Poly([1, 1])(F(1, 2)) == F(3, 2)
-    assert Poly([1, 1])(2) == 3 and type(Poly([1, 1])(2)) is F
+    assert binomial(F(1, 2), 1) == F(1, 2)
 
 
 def test_as_rational_returns_an_exact_fraction_unchanged():
@@ -171,7 +168,7 @@ def test_poly_normalization():
     assert p.coeffs == (1, 2)
     assert p.degree == 1
     z = Poly([0, 0])
-    assert z == Poly([])
+    assert z.coeffs == Poly([]).coeffs
     assert z.degree == -1
     assert z.coeffs == ()
 
@@ -183,62 +180,23 @@ def test_poly_coefficient_beyond_degree():
 
 
 def test_poly_arithmetic():
-    x = Poly.indeterminate()
-    p = (x + 1) * (x + 2)
-    assert p == Poly([2, 3, 1])
-    assert p + Poly([-2]) == Poly([0, 3, 1])
-    assert p * -1 == Poly([-2, -3, -1])
-    assert p * 0 == Poly([])
-
-
-def test_poly_scalar_mixing():
-    x = Poly.indeterminate()
-    assert 1 + x == Poly([1, 1])
-    assert 2 + x * -1 == Poly([2, -1])
-    assert 3 * x == Poly([0, 3])
-    assert x + F(1, 2) == Poly([F(1, 2), 1])
-
-
-def test_poly_eval_horner():
-    p = Poly([2, 3, 1])  # (x+1)(x+2)
-    assert p(F(1, 2)) == F(15, 4)
-    assert p(-1) == 0
-    assert Poly([])(F(5)) == 0
-
-
-def test_poly_eval_matches_expanded_sum():
-    p = Poly([F(1, 3), -2, 0, F(7, 5)])
-    x = F(-3, 2)
-    expected = sum(c * x**k for k, c in enumerate(p.coeffs))
-    assert p(x) == expected
+    p = Poly([1, 1]) * Poly([2, 1])  # (x+1)(x+2)
+    assert p.coeffs == (2, 3, 1)
+    assert (p * Poly([-1])).coeffs == (-2, -3, -1)
+    assert (p * Poly([])).coeffs == ()
+    assert (Poly([F(1, 2)], var="u") * Poly([0, 4], var="u")).var == "u"
+    # the product takes polynomials only
+    with pytest.raises(TypeError):
+        p * 2
+    with pytest.raises(TypeError):
+        2 * p
 
 
 def test_poly_var_mismatch():
     p = Poly([1, 1], var="gamma")
     q = Poly([1, 1], var="u")
     with pytest.raises(ValueError, match="mismatch"):
-        p + q
-    with pytest.raises(ValueError, match="mismatch"):
         p * q
-
-
-def test_poly_equality_with_scalars():
-    assert Poly([5]) == 5
-    assert Poly([]) == 0
-    assert Poly([0, 1]) != 1
-
-
-def test_poly_is_hashable():
-    assert hash(Poly([1, 2])) == hash(Poly([1, 2, 0]))
-    assert len({Poly([1]), Poly([1]), Poly([2])}) == 2
-
-
-def test_poly_hash_agrees_with_scalar_equality():
-    assert hash(Poly((3,))) == hash(3)
-    assert hash(Poly(())) == hash(0)
-    assert hash(Poly((F(1, 2),), var="u")) == hash(F(1, 2))
-    assert len({Poly((3,)), 3}) == 1
-    assert len({Poly(()), 0, F(0)}) == 1
 
 
 def test_poly_rejects_float_coefficients():
@@ -246,14 +204,14 @@ def test_poly_rejects_float_coefficients():
         Poly([0.5])
 
 
-def test_rising_factorial_accepts_poly():
-    x = Poly.indeterminate()
-    p = rising_factorial(x + 1, 3)
-    assert p == Poly([6, 11, 6, 1])
-
-
-@given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5), rationals)
-def test_poly_eval_is_ring_morphism(cs, ds, x):
-    p, q = Poly(cs), Poly(ds)
-    assert (p + q)(x) == p(x) + q(x)
-    assert (p * q)(x) == p(x) * q(x)
+@given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5))
+def test_poly_mul_is_the_cauchy_product(cs, ds):
+    product = (Poly(cs) * Poly(ds)).coeffs
+    expected = [
+        sum((cs[i] * ds[k - i] for i in range(k + 1) if i < len(cs) and k - i < len(ds)), F(0))
+        for k in range(len(cs) + len(ds) - 1)
+    ]
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert product == tuple(expected)
+    assert all(type(c) is F for c in product)

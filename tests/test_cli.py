@@ -45,6 +45,11 @@ def test_parse_verify_config():
 def test_parse_rejects_bad_vectors():
     with pytest.raises(UsageError):
         parse_config(["verify", "--s", "1", "--alpha", "1,x", "--gamma", "0,0"])
+    # each alpha entry is a count, refused under the flag's name
+    with pytest.raises(UsageError, match=r"^--alpha: alpha_i=-1 must be >= 0$"):
+        parse_config(["verify", "--s", "2", "--alpha", "-1,4", "--gamma", "0,0"])
+    with pytest.raises(UsageError, match=r"^--alpha: invalid int value: '1\.0'$"):
+        parse_config(["verify", "--s", "1", "--alpha", "1.0,2", "--gamma", "0,0"])
     with pytest.raises(UsageError):
         parse_config(["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0.5"])
     with pytest.raises(UsageError):
@@ -406,6 +411,8 @@ def test_value_errors_print_no_usage(capsys):
         ["verify", "--s", "x", "--alpha", "1,2", "--gamma", "0,0"],
         VERIFY + ["--format", "xml"],
         ["sweep", "--max-s", "-1", "--max-d", "1", "--gamma-set", "0"],
+        ["verify", "--s", "-1", "--alpha", "1,2", "--gamma", "0,0"],
+        ["verify", "--s", "2", "--alpha", "-1,4", "--gamma", "0,0"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

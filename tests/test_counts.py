@@ -56,7 +56,8 @@ COUNTS = {
     "correction_t_residue.s": (lambda v: correction_t_residue(v, 1), "s", 1, None),
     "correction_t_residue.k": (lambda v: correction_t_residue(2, v), "k", 1, 4),
     "binomial_series.order": (lambda v: binomial_series(1, 2, v), "order", 0, None),
-    "TSeries.order": (lambda v: TSeries([1, 2], v), "order", 0, None),
+    "TSeries.order": (lambda v: TSeries([1], 1, v), "order", 0, None),
+    "TSeries.den": (lambda v: TSeries([1], v, 0), "den", 1, None),
 }
 
 
@@ -86,13 +87,13 @@ def test_every_count_goes_through_one_check(key):
 
 
 def test_counts_that_may_be_negative_are_still_ints():
-    assert residue(TSeries([1, 2]), -1) == 0
+    assert residue(TSeries([1, 2], 1, 1), -1) == 0
     assert binomial(3, -1) == 0
     row = derivative_table(4).entries[1]
     at_minus_half = sum(c * (-1) ** i * 2 ** (4 - i) for i, c in enumerate(row))
     assert derivative_table(4).scaled_row(1, -1, 2) == at_minus_half
     for call in (
-        lambda: residue(TSeries([1, 2]), -1.0),
+        lambda: residue(TSeries([1, 2], 1, 1), -1.0),
         lambda: binomial(3, 1.0),
         lambda: derivative_table(4).scaled_row(1, -1.0, 2),
     ):

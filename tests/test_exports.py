@@ -1,8 +1,9 @@
 """The package's public names, and its boundary with the tests.
 
-The blind-reference expansion and the series operations only it needs
-live in ``tests/oracles.py``; the package must not import them back, and
-the names it once exported for them must stay gone.
+The blind-reference expansion and the series type it runs on live in
+``tests/oracles.py``; the package must not import them back, the names
+it once exported for them must stay gone, and the reference must not
+borrow the package's series arithmetic.
 """
 
 import ast
@@ -24,6 +25,8 @@ REMOVED = (
     "NonUnitSeries",
     "IrrationalScalarPower",
     "correction_polynomial",
+    "_over_common_denominator",
+    "_SCALARS",
 )
 
 
@@ -59,25 +62,42 @@ def test_package_root_names_no_export_by_hand():
     assert by_hand == [], by_hand
 
 
+def absolute_imports(path):
+    """"file:line name" for each absolute import in ``path``: ``import m``
+    gives m, and ``from m import a`` gives m and m.a."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (f"{path.name}:{node.lineno} {name}" for name in names)
+
+
 def test_package_imports_nothing_from_the_tests():
     files = sorted(SOURCE.glob("*.py"))
     assert files, f"no sources found under {SOURCE}"
     forbidden = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
     assert "oracles" in forbidden
-    found = []
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] in forbidden
-            ]
+    found = [
+        found
+        for path in files
+        for found in absolute_imports(path)
+        if found.split()[1].split(".")[0] in forbidden
+    ]
+    assert found == [], found
+
+
+def test_reference_imports_nothing_from_the_package_series():
+    # the blind expansion runs on its own series type, so that it shares no
+    # arithmetic with the package's TSeries, binomial_series or residue
+    borrowed = {"coeffident.series"} | {f"coeffident.{name}" for name in series.__all__}
+    found = [
+        found
+        for found in absolute_imports(TESTS / "oracles.py")
+        if found.split()[1] in borrowed or found.split()[1].startswith("coeffident.series.")
+    ]
     assert found == [], found
 
 
@@ -95,10 +115,14 @@ def test_removed_names_stay_removed():
         if hasattr(module, name)
     ]
     assert left == [], left
-    # one series type, with only the operations the program uses
+    # one series type and one polynomial type, each with only the
+    # operations the program and the benchmark's replay use
+    dropped = ("inverse", "pow_rational", "__pow__", "__sub__", "__add__", "__radd__", "__rmul__")
+    dropped += ("__call__", "__eq__", "__hash__", "scale", "constant", "one", "indeterminate")
     extra = [
-        name
-        for name in ("inverse", "pow_rational", "__pow__", "__sub__")
-        if hasattr(series.TSeries, name)
+        f"{cls.__name__}.{name}"
+        for cls in (series.TSeries, algebra.Poly)
+        for name in dropped
+        if name in vars(cls)
     ]
     assert extra == [], extra

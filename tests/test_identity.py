@@ -10,6 +10,7 @@ import pickle
 import pkgutil
 import random
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import coeffident
 import coeffident.identity as identity
-from coeffident.algebra import Poly, _over_common_denominator, binomial
+from coeffident.algebra import Poly, binomial
 from coeffident.cli import _emit
 from coeffident.residues import (
     _t_residue,
@@ -30,6 +31,7 @@ from coeffident.residues import (
     w_residue_series,
 )
 from coeffident.series import (
+    TSeries,
     _binomial_numerators,
     _convolve,
     binomial_series,
@@ -52,7 +54,7 @@ from coeffident.identity import (
     verify,
     verify_poly_gamma,
 )
-from oracles import rising_factorial
+from oracles import over_common_denominator, poly_value, rising_coefficients
 
 
 # --- independent brute-force oracle (kept deliberately naive) ----------------
@@ -234,7 +236,7 @@ def test_compositions_and_derivative_table_need_no_recursion():
         table = derivative_table(50)
     assert many == [tuple(int(i == 199 - k) for i in range(200)) for k in range(200)]
     assert len(table.entries) == 26
-    assert Poly(table.entries[0]) == rising_factorial(Poly.indeterminate() + 1, 50)
+    assert table.entries[0] == rising_coefficients(50)
 
 
 def package_caches():
@@ -329,6 +331,8 @@ def test_memoized_kernel_charges_the_same_ops_cold_and_warm(kernel, args):
     def charged(fn):
         ops0 = coefficient_ops()
         value = fn(*args)
+        if isinstance(value, TSeries):
+            value = (value.order, value.nums, value.den)
         return value, coefficient_ops() - ops0
 
     private = PRIVATE_KERNEL[kernel]
@@ -661,8 +665,8 @@ def test_verify_looks_up_the_derivative_table_once_per_weight():
     # routes never look it up.  The coordinates with alpha_i >= 4 are
     # where one lookup per coordinate would differ.  The benchmark's
     # replay makes the same lookups and checks the table's hit ratio
-    # against the untraced run, so this count is pinned until ROADMAP
-    # item 3 replaces the replay with the program's own meter.
+    # against the untraced run, so this count is pinned until a meter of
+    # the program's own calls replaces the replay.
     cases = [
         SPOT,
         IdentityInstance(s=3, alpha=(4, 3), gamma=(F(1, 2), F(2))),
@@ -699,21 +703,23 @@ def test_rational_gamma_stress_instance():
 
 
 def test_verify_report_metadata():
+    start = time.perf_counter_ns()
     report = verify(SPOT)
+    wall_us = (time.perf_counter_ns() - start) // 1000
     assert report.instance is SPOT
     assert report.all_equal
     assert report.direct_terms == 3  # compositions of 1 and of 0 into 2 parts
     assert report.residue_ops > 0
     assert report.product_ops > 0
-    assert all(
-        t >= 0
-        for t in (
-            report.time_direct_us,
-            report.time_residue_us,
-            report.time_product_us,
-            report.time_rhs_us,
-        )
+    times = (
+        report.time_direct_us,
+        report.time_residue_us,
+        report.time_product_us,
+        report.time_rhs_us,
     )
+    assert all(type(t) is int and t >= 0 for t in times)
+    # the four timed stretches lie inside the call, one after another
+    assert sum(times) <= wall_us
 
 
 def test_bench_instance_counters():
@@ -833,13 +839,13 @@ def test_verify_poly_gamma_simplest():
     inst = IdentityInstance(0, (1,), (F(0),))
     lhs, rhs, equal = verify_poly_gamma(inst, 0)
     assert equal
-    assert lhs == rhs == Poly([1, 1])  # gamma + 1
+    assert lhs.coeffs == rhs.coeffs == (1, 1)  # gamma + 1
 
 
 def test_verify_poly_gamma_spot_instance():
     lhs, rhs, equal = verify_poly_gamma(SPOT, 1)
     assert equal
-    assert rhs == Poly([4, 6, 2])  # 4*C(g+2,2) = 2(g+1)(g+2)
+    assert rhs.coeffs == (4, 6, 2)  # 4*C(g+2,2) = 2(g+1)(g+2)
 
 
 def lagrange_coefficients(values):
@@ -872,15 +878,15 @@ def lagrange_coefficients(values):
 @example([F(1, 3)] * 4)
 @example([F(x**3, 2) for x in range(5)])
 def test_interpolate_is_the_lagrange_polynomial(values):
-    nums, den = _over_common_denominator(values)
+    nums, den = over_common_denominator(values)
     p = identity._interpolate(nums, den)
     # a denominator above the lowest gives the same polynomial
-    assert identity._interpolate([3 * n for n in nums], 3 * den) == p
+    assert identity._interpolate([3 * n for n in nums], 3 * den).coeffs == p.coeffs
     assert p.var == "gamma"
     assert p.degree < len(values)
     assert all(type(c) is F for c in p.coeffs)
-    assert [p(x) for x in range(len(values))] == values
-    assert p == Poly(lagrange_coefficients(values))
+    assert [poly_value(p.coeffs, x) for x in range(len(values))] == values
+    assert p.coeffs == Poly(lagrange_coefficients(values)).coeffs
 
 
 @pytest.mark.parametrize(
@@ -892,12 +898,11 @@ def test_interpolate_is_the_lagrange_polynomial(values):
 def test_poly_gamma_rhs_is_the_closed_form(inst):
     alpha_c = inst.alpha[0]
     const = F(4) ** inst.s * binomial(inst.gamma[1] + inst.alpha[1], inst.alpha[1])
-    expected = rising_factorial(Poly.indeterminate() + 1, alpha_c) * (
-        const / math.factorial(alpha_c)
-    )
+    scale = const / math.factorial(alpha_c)
+    expected = Poly([scale * c for c in rising_coefficients(alpha_c)])
     lhs, rhs, equal = verify_poly_gamma(inst, 0)
-    assert rhs == expected
-    assert equal and lhs == rhs
+    assert rhs.coeffs == expected.coeffs
+    assert equal and lhs.coeffs == rhs.coeffs
     assert rhs.degree == (alpha_c if const else -1)
 
 
@@ -919,8 +924,8 @@ def test_poly_gamma_specialization_coherence():
             gammas = list(inst.gamma)
             gammas[i] = value
             pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
-            assert lhs(value) == lhs_direct(pinned)
-            assert rhs(value) == rhs_closed(pinned)
+            assert poly_value(lhs.coeffs, value) == lhs_direct(pinned)
+            assert poly_value(rhs.coeffs, value) == rhs_closed(pinned)
 
 
 def criterion_6_cells():
@@ -946,8 +951,8 @@ def test_poly_gamma_exact_off_the_nodes():
             gammas = list(inst.gamma)
             gammas[i] = x
             pinned = IdentityInstance(s=inst.s, alpha=inst.alpha, gamma=tuple(gammas))
-            assert lhs(x) == lhs_direct(pinned)
-            assert rhs(x) == rhs_closed(pinned)
+            assert poly_value(lhs.coeffs, x) == lhs_direct(pinned)
+            assert poly_value(rhs.coeffs, x) == rhs_closed(pinned)
 
 
 def test_poly_gamma_lhs_is_the_left_side_interpolated():
@@ -956,7 +961,7 @@ def test_poly_gamma_lhs_is_the_left_side_interpolated():
     for inst, i in criterion_6_cells():
         lhs, rhs, equal = verify_poly_gamma(inst, i)
         assert equal
-        assert lhs == identity._interpolate(*identity._lhs_at_nodes(inst, i))
+        assert lhs.coeffs == identity._interpolate(*identity._lhs_at_nodes(inst, i)).coeffs
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -976,8 +981,8 @@ def test_poly_gamma_uses_every_node(monkeypatch, where):
     monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
     lhs, rhs, equal = verify_poly_gamma(inst, coordinate)
     assert equal is False
-    assert lhs != rhs
-    assert lhs(node) == rhs(node) + 1
+    assert lhs.coeffs != rhs.coeffs
+    assert poly_value(lhs.coeffs, node) == poly_value(rhs.coeffs, node) + 1
 
 
 def node_cases():

@@ -4,10 +4,10 @@
 ``series.binomial_series`` and ``DerivativeTable.scaled_row`` compute in ints and make no Fraction before
 their result.  Each must give exactly what the earlier Fraction loop,
 written out below, gives: the same numerators over the same lowest
-denominator, and for a series the same ``(order, nums, den)`` as
-``TSeries(fraction_coeffs, order)``.  The direct route's prefix walk,
-``identity._composition_sums``, must give what a plain enumeration of
-the compositions gives.  The residue route, ``identity.lhs_residue``,
+denominator, and for a series the same ``(order, nums, den)`` as the
+loop's Fraction coefficients over their lowest common denominator.  The
+direct route's prefix walk, ``identity._composition_sums``, must give
+what a plain enumeration of the compositions gives.  The residue route, ``identity.lhs_residue``,
 convolves the integer numerators of the series kernels and must give
 what the product of the public ``TSeries`` gives, at the same op count;
 and the right side's polynomial in ``verify_poly_gamma``, built from row
@@ -23,10 +23,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import coeffident.identity as identity
-from coeffident.algebra import Poly, binomial
+from coeffident.algebra import binomial
 from coeffident.identity import IdentityInstance, lhs_residue, rhs_closed, verify
 from coeffident.residues import derivative_table, w_residue_series
-from coeffident.series import TSeries, binomial_series, coefficient_ops, residue
+from coeffident.series import binomial_series, coefficient_ops, residue
+from oracles import over_common_denominator, poly_value
 
 # gammas: small numerators over denominators up to 10**6, plus the negative
 # integers, where C(b + gamma, b) vanishes from b = -gamma on
@@ -74,12 +75,8 @@ def fraction_binomial(c, r, order):
 
 
 def same_series(series, coeffs, order):
-    expected = TSeries(coeffs, order)
-    return (series.order, series.nums, series.den) == (
-        expected.order,
-        expected.nums,
-        expected.den,
-    )
+    nums, den = over_common_denominator(coeffs)
+    return (series.order, series.nums, series.den) == (order, tuple(nums), den)
 
 
 @given(alphas, rationals, orders)
@@ -149,8 +146,8 @@ def test_scaled_row_is_the_row_at_p_over_q(alpha, g):
     for k, row in enumerate(table.entries):
         value = table.scaled_row(k, p, q)
         assert type(value) is int
-        assert value == q**alpha * Poly(row)(g)
-        assert table.weight(k, g) == Poly(row)(g) / math.factorial(alpha)
+        assert value == q**alpha * poly_value(row, g)
+        assert table.weight(k, g) == poly_value(row, g) / math.factorial(alpha)
 
 
 @st.composite
@@ -268,4 +265,4 @@ def test_rhs_poly_is_the_interpolated_closed_form(alpha_c, gamma_c, gamma_o):
     values = [num * math.comb(x + alpha_c, alpha_c) for x in range(alpha_c + 1)]
     lhs, rhs, equal = identity.verify_poly_gamma(inst, 0)
     assert equal and lhs is rhs
-    assert rhs == identity._interpolate(values, den)
+    assert rhs.coeffs == identity._interpolate(values, den).coeffs

@@ -6,8 +6,9 @@ every subcommand once with small inputs in JSON and in CSV (``verify``
 with and without ``--poly-gamma``, ``sweep`` with one job and with two,
 ``lemma2``, ``lemma3``, ``jseries``), the help page of the program and
 of each subcommand, one grammar error, and the reference witnesses
-(``w_residue_closed`` against ``w_residue_series``, a derivative-table
-row built and evaluated in ``Poly`` arithmetic).  The witnesses import
+(``w_residue_closed`` against ``w_residue_series``, derivative-table row
+0 against a ``Poly`` product, a table weight against its row evaluated
+in ``Fraction`` arithmetic).  The witnesses import
 nothing from the tests.  It lists each function defined in the
 package's source files that was never entered.  Import-time calls
 count, and the caches start cold, so a function reached only through a
@@ -33,9 +34,10 @@ REPLAY = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
 # Kept only because the benchmark's replay uses them: it sums the direct
 # route per j with ``inner_sum`` and ``binomial``, reads the product
-# route's correction polynomial with ``Poly.degree``, and extracts the
-# residue route's coefficient with ``residue``.
-BENCHMARK_ONLY = {"binomial", "inner_sum", "Poly.degree", "residue"}
+# route's correction polynomial with ``Poly.degree`` and
+# ``Poly.coefficient``, and extracts the residue route's coefficient with
+# ``residue``.
+BENCHMARK_ONLY = {"binomial", "inner_sum", "Poly.degree", "Poly.coefficient", "residue"}
 # Kept although neither a subcommand nor a witness enters them.
 ALLOWED_NAMES = BENCHMARK_ONLY | {
     # the public routes and right side; ``verify`` calls their integer
@@ -56,8 +58,8 @@ ALLOWED_NAMES = BENCHMARK_ONLY | {
     # validation; the program itself calls neither
     "IdentityInstance._make",
 }
-# dunders that only a person at the prompt or a hashed container calls
-ALLOWED_DUNDERS = {"__repr__", "__hash__"}
+# dunders that only a person at the prompt calls
+ALLOWED_DUNDERS = {"__repr__"}
 
 SCRIPT = r"""
 import contextlib, io, json, sys, types
@@ -111,14 +113,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 for alpha in range(4):
     g = Fraction(1, 2)
-    if w_residue_series(alpha, g, 2 * alpha) != w_residue_closed(alpha, g, 2 * alpha):
+    direct, closed = w_residue_series(alpha, g, 2 * alpha), w_residue_closed(alpha, g, 2 * alpha)
+    if (direct.order, direct.nums, direct.den) != (closed.order, closed.nums, closed.den):
         sys.exit(f"witnesses disagree at alpha = {alpha}")
 table = derivative_table(3)
-x = Poly.indeterminate()
-if Poly(table.entries[0]) != (x + 1) * (x + 2) * (x + 3):
-    sys.exit("derivative-table row 0 is not the rising factorial, in Poly arithmetic")
-if Poly(table.entries[1])(Fraction(1, 2)) / 6 != table.weight(1, Fraction(1, 2)):
-    sys.exit("derivative-table row evaluated as a Poly")
+rising = Poly([1, 1]) * Poly([2, 1]) * Poly([3, 1])
+if Poly(table.entries[0]).coeffs != rising.coeffs:
+    sys.exit("derivative-table row 0 is not the rising factorial, as a Poly product")
+half = Fraction(1, 2)
+if sum(c * half**i for i, c in enumerate(table.entries[1])) / 6 != table.weight(1, half):
+    sys.exit("derivative-table weight is not its row evaluated")
 sys.settrace(None)
 
 def functions(code, qualname):
@@ -159,7 +163,11 @@ def test_every_function_is_reached():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert len(result["defined"]) > 100  # the walk found the package's functions
+    # the walk found every function and class body the package's sources define
+    trees = [ast.parse(path.read_text()) for path in (SOURCE / "coeffident").glob("*.py")]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    defined = sum(isinstance(node, defs) for tree in trees for node in ast.walk(tree))
+    assert len(result["defined"]) == defined > 0
     unreached = [entry for entry in result["never"] if not allowed(entry)]
     assert unreached == [], "entered by nothing: " + ", ".join(unreached)
     gone = sorted(ALLOWED_NAMES - qualnames(result["defined"]))

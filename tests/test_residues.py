@@ -13,8 +13,8 @@ from coeffident.residues import (
     w_residue_closed,
     w_residue_series,
 )
-from coeffident.series import TSeries, binomial_series, residue
-from oracles import nested_exp_core, power, rising_factorial
+from coeffident.series import binomial_series, residue
+from oracles import Series, nested_exp_core, power, rising_coefficients
 
 GAMMAS = (F(0), F(1), F(2), F(-1, 2), F(3, 7))
 
@@ -44,24 +44,28 @@ def test_table_alpha_4():
 
 
 def test_table_leading_entry_is_rising_factorial():
-    x = Poly.indeterminate()
     for alpha in range(9):
-        assert Poly(derivative_table(alpha).entries[0]) == rising_factorial(x + 1, alpha)
+        assert derivative_table(alpha).entries[0] == rising_coefficients(alpha)
 
 
 def poly_recurrence_rows(alpha):
-    """The table's two-term recurrence written out in Poly arithmetic, each
-    row as its coefficient tuple."""
-    c = Poly.indeterminate()
+    """The table's two-term recurrence written out as Poly products, each
+    row as its coefficient tuple; a sum of two rows is taken on the
+    coefficient tuples."""
+
+    def add(p, q):
+        n = max(len(p.coeffs), len(q.coeffs))
+        return Poly([p.coefficient(i) + q.coefficient(i) for i in range(n)])
+
     rows = [Poly([1])]
     for a in range(alpha):
         nxt = []
         for k in range((a + 1) // 2 + 1):
             acc = Poly([])
             if k < len(rows):
-                acc = acc + rows[k] * (c + (1 + a - 2 * k))
+                acc = add(acc, rows[k] * Poly([1 + a - 2 * k, 1]))
             if k >= 1:
-                acc = acc + rows[k - 1] * (2 * k - a - 2)
+                acc = add(acc, rows[k - 1] * Poly([2 * k - a - 2]))
             nxt.append(acc)
         rows = nxt
     return tuple(row.coeffs for row in rows)
@@ -112,10 +116,11 @@ def test_rows_outside_the_table_are_refused(alpha, k):
         table.scaled_row(k, 1, 2)
     with pytest.raises(ValueError, match=f"k={k} outside 0..{alpha // 2}"):
         table.weight(k, F(1, 2))
-    # the edges of the range still read their rows
-    assert table.scaled_row(0, 1, 2) == 2**alpha * Poly(table.entries[0])(F(1, 2))
+    # the edges of the range still read their rows, 2**alpha row(1/2)
     last = alpha // 2
-    assert table.scaled_row(last, 1, 2) == 2**alpha * Poly(table.entries[last])(F(1, 2))
+    for k in (0, last):
+        row = table.entries[k]
+        assert table.scaled_row(k, 1, 2) == sum(c * 2 ** (alpha - i) for i, c in enumerate(row))
 
 
 # --- the w-residue series and its closed form --------------------------------
@@ -155,9 +160,8 @@ def test_closed_form_matches_series():
     for alpha in range(6):
         for g in GAMMAS:
             order = 2 * alpha + 1
-            assert w_residue_closed(alpha, g, order) == w_residue_series(
-                alpha, g, order
-            )
+            closed, direct = w_residue_closed(alpha, g, order), w_residue_series(alpha, g, order)
+            assert (closed.order, closed.nums, closed.den) == (order, direct.nums, direct.den)
 
 
 def test_closed_form_at_degenerate_gammas():
@@ -165,7 +169,7 @@ def test_closed_form_at_degenerate_gammas():
     # form must survive that
     for alpha in range(5):
         for g in (F(-1), F(-2), F(-3)):
-            assert w_residue_closed(alpha, g, 4) == w_residue_series(alpha, g, 4)
+            assert w_residue_closed(alpha, g, 4).coeffs == w_residue_series(alpha, g, 4).coeffs
 
 
 def test_closed_form_matches_bivariate_expansion():
@@ -173,21 +177,25 @@ def test_closed_form_matches_bivariate_expansion():
         for g in (F(0), F(1, 2), F(-1, 2)):
             order = alpha + 2
             blind = nested_exp_core(g, order, alpha).coefficient(alpha)
-            assert blind == w_residue_series(alpha, g, order)
+            assert blind == w_residue_series(alpha, g, order).coeffs
 
 
 def test_wrongly_normalized_closed_form_fails():
     # dividing the leading entry out while keeping alpha!-normalized
     # weights only works at gamma = 0 -- guard against that regression
     from coeffident.algebra import binomial
-    from coeffident.series import binomial_series
 
     alpha, g, order = 2, F(1), 4
     lead = binomial(g + alpha, alpha)
     base = binomial_series(-1, -g - alpha - 1, order) * binomial_series(1, alpha, order)
-    ratio_sq = power(binomial_series(-1, 1, order) * binomial_series(1, -1, order), 2)
-    bad = (base * (TSeries.one(order) + ratio_sq.scale(derivative_table(2).weight(1, g)))).scale(lead)
-    assert bad != w_residue_series(alpha, g, order)
+    ratio = binomial_series(-1, 1, order) * binomial_series(1, -1, order)
+    weight = derivative_table(2).weight(1, g)
+    bracket = Series.one(order) + power(Series(ratio.coeffs), 2).scale(weight)
+    bad = (Series(base.coeffs) * bracket).scale(lead)
+    assert bad != w_residue_series(alpha, g, order).coeffs
+    # the distributed form, with the prefactor inside the sum, is right
+    good = Series.constant(lead, order) + power(Series(ratio.coeffs), 2).scale(weight)
+    assert Series(base.coeffs) * good == w_residue_series(alpha, g, order).coeffs
 
 
 # --- scalar t-residues ---------------------------------------------------------
