@@ -386,8 +386,9 @@ def _cell(key: str, value) -> str:
 
 
 # One compact encoder for every record: json.dumps with non-default
-# separators would build a new JSONEncoder per call.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+# separators would build a new JSONEncoder per call.  Records are flat
+# dicts of ints, strings and lists, so there is no cycle to check for.
+_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:

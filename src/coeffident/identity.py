@@ -46,7 +46,7 @@ from .residues import (
     correction_t_residue,
     derivative_table,
 )
-from .series import _OPS, _binomial_numerators, _convolve, coefficient_ops
+from .series import _OPS, _binomial_numerators, _convolve
 
 __all__ = [
     "InvalidInstance",
@@ -96,10 +96,13 @@ class IdentityInstance(_InstanceFields):
     hypothesis).  ``_make``, and so ``_replace``, construct through the
     same checks.
 
-    Construction also computes, once, the integer pairs the routes read:
-    each gamma's numerator and denominator, and the binomial top
-    d + sum(alpha) + sum(gamma), all in lowest terms.  They are no
-    fields, so equality, hashing and pickling see only s, alpha and gamma.
+    Construction also computes, once, the integers the routes read: each
+    coordinate's triple (alpha_i, p_i, q_i), gamma_i = p_i/q_i in lowest
+    terms, and the binomial top d + sum(alpha) + sum(gamma) as a
+    lowest-terms pair.  The triples key the routes' caches, so the
+    instances of a grid that share their first d coordinates share the
+    routes' work on them.  They are no fields, so equality, hashing and
+    pickling see only s, alpha and gamma.
     """
 
     def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
@@ -126,17 +129,17 @@ class IdentityInstance(_InstanceFields):
         # the top d + sum(alpha) + sum(gamma) as num/den, den the gammas'
         # least common denominator; reduced by one gcd at the end
         num, den = len(alpha) - 1 + total, 1
-        pairs = []
-        for g in gamma:
+        coords = []
+        for a, g in zip(alpha, gamma):
             p, q = g.numerator, g.denominator
-            pairs.append((p, q))
+            coords.append((a, p, q))
             if den % q:
                 lcm = math.lcm(den, q)
                 num *= lcm // den
                 den = lcm
             num += p * (den // q)
         common = math.gcd(num, den)
-        self._gamma_pairs = tuple(pairs)
+        self._coords = tuple(coords)
         self._top_pair = (num // common, den // common)
         return self
 
@@ -203,50 +206,70 @@ def _coordinate_factors(
     return tuple(n // common for n in nums), den // common
 
 
-def _instance_tables(
-    alpha: Sequence[int], pairs: Sequence[tuple[int, int]], s: int
-) -> tuple[list[tuple[int, ...]], int]:
-    """Each coordinate's integer factor table to b = s (exponents ``alpha``,
-    gamma pairs (p, q)), and the product of their denominators: the
-    denominator of each composition product."""
-    tables = []
-    den = 1
-    for a, (p, q) in zip(alpha, pairs):
+@lru_cache(maxsize=256)
+def _head_sums(
+    s: int, heads: tuple[tuple[int, int, int], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """For every budget u = 0..s, the sum over the compositions beta of u
+    into len(heads) parts of prod_i T_i[beta_i], where T_i is the factor
+    table to b = s (``_coordinate_factors``) of the coordinate triple
+    heads[i]; the number of those compositions, for every u; and the
+    product of the tables' denominators, the denominator of every sum.
+
+    One depth-first walk with an explicit stack (no recursion, so any
+    number of parts works) carries each prefix's budget and product, and
+    adds each full composition to the sum of its budget: every
+    composition is visited, and counted, exactly once, and none is kept.
+    With no parts, the one empty composition has budget 0 and product 1.
+    The routes key it by an instance's coordinates before the last, so
+    the instances of a grid that differ only in the last coordinate
+    share one walk.
+    """
+    tables, den = [], 1
+    for a, p, q in heads:
         nums, table_den = _coordinate_factors(a, p, q, s)
         tables.append(nums)
         den *= table_den
-    return tables, den
-
-
-def _composition_sums(tables: Sequence[Sequence[int]], n: int) -> tuple[list[int], int]:
-    """For every m = 0..n, the sum over the compositions beta of m into
-    len(tables) parts of prod_i tables[i][beta_i]; and the number of
-    compositions summed, over all m together.
-
-    One depth-first walk over the parts before the last, with an explicit
-    stack (no recursion, so any number of parts works), carries each
-    prefix's budget u = beta_0 + ... and product.  A prefix is closed by
-    the last table: it adds prefix * last[m - u] to the sum of every
-    m >= u.  So the prefixes are shared between all m, and each
-    composition of each m is still visited, and counted, exactly once --
-    the tables are not convolved with each other.
-    """
-    *heads, last = tables
-    sums = [0] * (n + 1)
-    terms = 0
-    depth = len(heads)
+    sums, counts = [0] * (s + 1), [0] * (s + 1)
+    depth = len(tables)
     stack = [(0, 0, 1)]  # (parts chosen, budget used, prefix product)
     while stack:
         level, used, prefix = stack.pop()
         if level == depth:
-            for m in range(used, n + 1):
-                sums[m] += prefix * last[m - used]
-            terms += n + 1 - used
+            sums[used] += prefix
+            counts[used] += 1
             continue
-        table = heads[level]
-        for b in range(n - used + 1):
+        table = tables[level]
+        for b in range(s - used + 1):
             stack.append((level + 1, used + b, prefix * table[b]))
-    return sums, terms
+    return tuple(sums), tuple(counts), den
+
+
+def _direct_sums(inst: IdentityInstance) -> tuple[list[int], int, int]:
+    """For every m = 0..s, the sum over the compositions of m into d+1
+    parts of the factor products, as integer numerators over one positive
+    denominator (not reduced); and the number of compositions summed,
+    over all m together.
+
+    The sums over the coordinates before the last (``_head_sums``, cached
+    by their triples) are closed by the last coordinate's table: the head
+    sum at budget u adds head[u] * last[m - u] to the sum of every
+    m >= u, in a loop of its own, so that this route shares no code with
+    the residue route's ``_convolve``.  That is the composition sum
+    grouped by its last part, so each of the counts[u] head compositions
+    closes against s + 1 - u last parts, and the count is the walk's
+    whether its cache entry was warm or cold.
+    """
+    s, coords = inst.s, inst._coords
+    heads, counts, den = _head_sums(s, coords[:-1])
+    last, last_den = _coordinate_factors(*coords[-1], s)
+    sums = [0] * (s + 1)
+    for u, head in enumerate(heads):
+        if head:
+            for m in range(u, s + 1):
+                sums[m] += head * last[m - u]
+    terms = sum(count * (s + 1 - u) for u, count in enumerate(counts))
+    return sums, den * last_den, terms
 
 
 def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
@@ -270,15 +293,14 @@ def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     """The inner sum S_j: compositions of s-j across the coordinates."""
     j = _count(j, "j", 0, inst.s)
-    tables, den = _instance_tables(inst.alpha, inst._gamma_pairs, inst.s)
-    return Fraction(_composition_sums(tables, inst.s - j)[0][-1], den)
+    sums, den, _ = _direct_sums(inst)
+    return Fraction(sums[inst.s - j], den)
 
 
 def _lhs_direct_counted(inst: IdentityInstance) -> tuple[tuple[int, int], int]:
     """The direct left side as an integer numerator and positive
     denominator (not reduced), and the number of compositions summed."""
-    tables, den = _instance_tables(inst.alpha, inst._gamma_pairs, inst.s)
-    sums, terms = _composition_sums(tables, inst.s)
+    sums, den, terms = _direct_sums(inst)
     # the alternating j-sum: S_j is sums[s - j]
     weights, scale = _falling_weights(*inst._top_pair, inst.s)
     return (sum(map(operator.mul, weights, reversed(sums))), scale * den), terms
@@ -293,6 +315,25 @@ def lhs_direct(inst: IdentityInstance) -> Fraction:
 # residue route
 
 
+@lru_cache(maxsize=256)
+def _head_series(
+    s: int, heads: tuple[tuple[int, int, int], ...]
+) -> tuple[tuple[int, ...], int]:
+    """The product, truncated at t**s, of the w-residue series of the
+    coordinate triples ``heads`` (``_w_residue_numerators``), as integer
+    numerators over the product of their denominators; with no heads, the
+    series 1.  The residue route keys it by an instance's coordinates
+    before the last, as the direct route keys ``_head_sums``.  Counts no
+    ops; the route charges them.
+    """
+    acc, den = (1,), 1
+    for a, p, q in heads:
+        nums, w_den = _w_residue_numerators(a, p, q, s)
+        acc = _convolve(acc, nums, s)
+        den *= w_den
+    return tuple(acc), den
+
+
 def _lhs_residue_pair(inst: IdentityInstance) -> tuple[int, int]:
     """Left side as one coefficient extraction, as an integer numerator
     and positive denominator (not reduced).
@@ -301,23 +342,24 @@ def _lhs_residue_pair(inst: IdentityInstance) -> tuple[int, int]:
     the product of the coordinate series; the Cauchy product performs
     the composition sum implicitly.  The factors are the integer
     numerators of ``binomial_series`` and ``w_residue_series`` (their
-    int-keyed kernels, read directly), each truncated product is taken
-    in full to order s by ``_convolve``, the denominators multiply, and
-    the coefficient of t**s is the numerator.  The ops charged
-    are the ones those kernels and ``TSeries`` multiplication charge:
-    2s for the binomial series, (s+1)(alpha_i+4) per coordinate series
-    and (s+1)(s+2)/2 per product.
+    int-keyed kernels, read directly).  The product of the coordinates
+    before the last comes from ``_head_series``; ``_convolve`` takes its
+    truncated product with the last coordinate's series, and the
+    coefficient of t**s of that times (1-t)**top is one dot product with
+    the reversed numerators of the top's series.  The denominators
+    multiply.  The ops charged are the ones those kernels and
+    ``TSeries`` multiplication charge, whether the head was cached or
+    not: 2s for the binomial series, (s+1)(alpha_i+4) per coordinate
+    series and (s+1)(s+2)/2 per product.
     """
-    s = inst.s
-    acc, den = _binomial_numerators(-1, 1, *inst._top_pair, s)
-    ops = 2 * s
-    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
-        nums, w_den = _w_residue_numerators(a, p, q, s)
-        acc = _convolve(acc, nums, s)
-        den *= w_den
-        ops += (s + 1) * (a + 4) + (s + 1) * (s + 2) // 2
-    _OPS.count += ops
-    return acc[s], den
+    s, coords = inst.s, inst._coords
+    head, den = _head_series(s, coords[:-1])
+    last, w_den = _w_residue_numerators(*coords[-1], s)
+    top, top_den = _binomial_numerators(-1, 1, *inst._top_pair, s)
+    acc = _convolve(head, last, s)
+    n, per_product = len(coords), (s + 1) * (s + 2) // 2
+    _OPS.count += 2 * s + (s + 1) * (sum(inst.alpha) + 4 * n) + n * per_product
+    return sum(map(operator.mul, reversed(top), acc)), top_den * den * w_den
 
 
 def lhs_residue(inst: IdentityInstance) -> Fraction:
@@ -358,9 +400,12 @@ def _correction_numerators(
     table's hit ratio against the untraced run.
     ``test_verify_looks_up_the_derivative_table_once_per_weight`` pins the
     count until a meter of the program's own calls replaces the replay.
+    For the same reason this route, unlike the direct and residue routes,
+    keeps no cache of its work on the coordinates before the last: a
+    cached head would skip those lookups.
     """
     nums, den, lead_num, lead_den = [1], 1, 1, 1
-    for a, (p, q) in zip(inst.alpha, inst._gamma_pairs):
+    for a, p, q in inst._coords:
         half = a // 2
         if half == 0:
             lead_num *= (p + q) ** a
@@ -488,27 +533,34 @@ class VerificationReport(NamedTuple):
     product_ops: int
 
     def to_json_dict(self) -> dict:
-        """The report as a record, derived from its fields: ``instance``
-        expands to s, d, alpha, gamma, a Fraction becomes its ``str``, and
-        every other value passes through.  A Fraction that is the same
-        object as the field before it is spelled once."""
-        record = {}
-        last = text = None
-        for name, value in zip(self._fields, self):
-            # exact type tests: isinstance on a non-Fraction goes through
-            # ABCMeta.__instancecheck__, and fields hold no subclasses
-            if type(value) is IdentityInstance:
-                record["s"] = value.s
-                record["d"] = value.d
-                record["alpha"] = list(value.alpha)
-                record["gamma"] = [str(g) for g in value.gamma]
-            elif type(value) is Fraction:
-                if value is not last:
-                    last, text = value, str(value)
-                record[name] = text
-            else:
-                record[name] = value
-        return record
+        """The report as a record, in field order: ``instance`` expands to
+        s, d, alpha, gamma, the four values become their ``str``, and every
+        other field passes through.  A value that is the same object as
+        the one before it is spelled once, so an agreeing report, whose
+        four values are one Fraction, makes one string."""
+        inst = self.instance
+        direct = str(self.lhs_direct)
+        res = direct if self.lhs_residue is self.lhs_direct else str(self.lhs_residue)
+        prod = res if self.lhs_product is self.lhs_residue else str(self.lhs_product)
+        rhs = prod if self.rhs is self.lhs_product else str(self.rhs)
+        return {
+            "s": inst.s,
+            "d": inst.d,
+            "alpha": list(inst.alpha),
+            "gamma": [str(g) for g in inst.gamma],
+            "lhs_direct": direct,
+            "lhs_residue": res,
+            "lhs_product": prod,
+            "rhs": rhs,
+            "all_equal": self.all_equal,
+            "time_direct_us": self.time_direct_us,
+            "time_residue_us": self.time_residue_us,
+            "time_product_us": self.time_product_us,
+            "time_rhs_us": self.time_rhs_us,
+            "direct_terms": self.direct_terms,
+            "residue_ops": self.residue_ops,
+            "product_ops": self.product_ops,
+        }
 
 
 def verify(inst: IdentityInstance) -> VerificationReport:
@@ -524,12 +576,12 @@ def verify(inst: IdentityInstance) -> VerificationReport:
     t0 = time.perf_counter_ns()
     direct, terms = _lhs_direct_counted(inst)
     t1 = time.perf_counter_ns()
-    ops0 = coefficient_ops()
+    ops0 = _OPS.count
     res = _lhs_residue_pair(inst)
-    ops1 = coefficient_ops()
+    ops1 = _OPS.count
     t2 = time.perf_counter_ns()
     prod = _lhs_product_pair(inst)
-    ops2 = coefficient_ops()
+    ops2 = _OPS.count
     t3 = time.perf_counter_ns()
     rhs = _rhs_closed_pair(inst)
     t4 = time.perf_counter_ns()
@@ -620,7 +672,7 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     factor table at gamma_c = x and R[m] sums the composition products of
     m over the other coordinates.  R does not depend on x, so the other
     coordinates' compositions are walked once per call, by the direct
-    route's prefix walk (``_composition_sums``).  With top0 = p0/q0 the
+    route's walk (``_head_sums``, keyed by the other coordinates' triples).  With top0 = p0/q0 the
     instance's top minus gamma_c (taken in ints, reduced by one gcd), the
     alternating j-sum at node x is
     sum_j (-1)**j C(top0 + x, j) S_j(x) = [t**s] (1-t)**(top0+x) T_x R,
@@ -634,19 +686,11 @@ def _lhs_at_nodes(inst: IdentityInstance, coordinate: int) -> tuple[list[int], i
     node.  The regrouped sum is the same exact sum, so every value
     equals ``lhs_direct`` of the pinned instance.
     """
-    s, alpha, pairs = inst.s, inst.alpha, inst._gamma_pairs
-    alpha_c = alpha[coordinate]
-    others, rest_den = _instance_tables(
-        alpha[:coordinate] + alpha[coordinate + 1 :],
-        pairs[:coordinate] + pairs[coordinate + 1 :],
-        s,
-    )
-    if others:
-        rest = _composition_sums(others, s)[0]
-    else:
-        rest = [1] + [0] * s
+    s, coords = inst.s, inst._coords
+    alpha_c, p_c, q_c = coords[coordinate]
+    rest, _, rest_den = _head_sums(s, coords[:coordinate] + coords[coordinate + 1 :])
     # the top at gamma_c = x is top0 + x = (p0 + x*q0)/q0
-    (top_p, top_q), (p_c, q_c) = inst._top_pair, pairs[coordinate]
+    top_p, top_q = inst._top_pair
     q0 = top_q * q_c
     p0 = top_p * q_c - p_c * top_q
     common = math.gcd(p0, q0)

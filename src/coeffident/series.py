@@ -12,8 +12,9 @@ series type of its own, not here.
 Everything here is formal: no convergence reasoning, no floats, no
 analytic continuation.  A module-level counter tallies coefficient
 multiplications so callers can report what a computation cost.
-``_convolve`` is the package's one truncated Cauchy product of integer
-coefficient lists.
+``_convolve`` is the truncated Cauchy product of integer coefficient
+lists that the series product, the residue route and the polynomial
+certification share.
 """
 
 from __future__ import annotations
@@ -64,10 +65,17 @@ def coefficient_ops() -> int:
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """[t**k] of the product of two integer series, for k = 0..n.
 
-    ``b`` must reach t**n; ``a`` may be shorter (its tail is zero).
-    Counts no ops; its callers charge them.
+    ``b`` must reach t**n; ``a`` may be shorter (its tail is zero).  Each
+    nonzero a[i] adds a[i] * b[k - i] to every k >= i, so a zero
+    coefficient of ``a`` costs nothing.  Counts no ops; its callers
+    charge them.
     """
-    return [sum(map(operator.mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for k in range(i, n + 1):
+                out[k] += x * b[k - i]
+    return out
 
 
 class TSeries:

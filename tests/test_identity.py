@@ -128,23 +128,27 @@ def test_instance_validation():
 def test_instance_top_is_the_binomial_top():
     inst = IdentityInstance(s=2, alpha=(1, 3, 1), gamma=(F(1, 2), 0, F(-7, 3)))
     assert inst.top == inst.d + sum(inst.alpha) + sum(inst.gamma) == F(31, 6)
-    # computed once, at construction, as lowest-terms integer pairs; the
-    # routes read the pairs, and .top is made from the stored pair
-    assert vars(inst) == {"_gamma_pairs": ((1, 2), (0, 1), (-7, 3)), "_top_pair": (31, 6)}
+    # computed once, at construction, as coordinate triples (alpha_i, p_i,
+    # q_i) and a lowest-terms pair; the routes read them, and .top is made
+    # from the stored pair
+    coords = ((1, 1, 2), (3, 0, 1), (1, -7, 3))
+    assert vars(inst) == {"_coords": coords, "_top_pair": (31, 6)}
     stale = IdentityInstance(*inst)
     stale._top_pair = (5, 7)
     assert stale.top == F(5, 7)
-    # the pairs are no fields: equality and hashing ignore them
+    # the triples and the pair are no fields: equality and hashing ignore them
     assert stale == inst and hash(stale) == hash(inst)
     single = IdentityInstance(s=0, alpha=(1,), gamma=(0,))
     assert single.top == 1 and type(single.top) is F
-    assert vars(single) == {"_gamma_pairs": ((0, 1),), "_top_pair": (1, 1)}
+    assert vars(single) == {"_coords": ((1, 0, 1),), "_top_pair": (1, 1)}
 
 
 @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9), min_size=1, max_size=4))
 def test_instance_pairs_are_the_fractions_in_lowest_terms(gamma):
     inst = IdentityInstance(s=1, alpha=(3,) + (0,) * (len(gamma) - 1), gamma=gamma)
-    assert inst._gamma_pairs == tuple((g.numerator, g.denominator) for g in inst.gamma)
+    assert inst._coords == tuple(
+        (a, g.numerator, g.denominator) for a, g in zip(inst.alpha, inst.gamma)
+    )
     top = inst.d + sum(inst.alpha) + sum(inst.gamma)
     assert inst._top_pair == (top.numerator, top.denominator)
 
@@ -165,9 +169,10 @@ def test_records_survive_pickling():
     ):
         assert type(other) is IdentityInstance
         assert vars(other) == state
-    # a replaced gamma gets its own pairs, not the old ones
+    # a replaced gamma gets its own triples, not the old ones
     moved = inst._replace(gamma=(F(1, 2), 1, F(-7, 3)))
-    assert vars(moved) == {"_gamma_pairs": ((1, 2), (1, 1), (-7, 3)), "_top_pair": (37, 6)}
+    coords = ((1, 1, 2), (3, 1, 1), (1, -7, 3))
+    assert vars(moved) == {"_coords": coords, "_top_pair": (37, 6)}
     report = verify(inst)
     back = pickle.loads(pickle.dumps(report))
     assert back == report and vars(back.instance) == state
@@ -259,6 +264,8 @@ def clear_caches():
 # kernel that counts no ops.
 PACKAGE_CACHES = (
     identity._coordinate_factors,
+    identity._head_sums,
+    identity._head_series,
     identity._node_tables,
     _w_residue_numerators,
     _binomial_numerators,
@@ -296,6 +303,84 @@ def test_reports_do_not_depend_on_cache_state():
         cold = verify(inst)
         warm = verify(inst)
         assert untimed(cold) == untimed(warm)
+
+
+SWEEP_GAMMAS = (F(0), F(1), F(2), F(1, 2))
+
+
+def test_warm_caches_give_the_cold_reports():
+    # The direct and residue routes reuse their work on the coordinates
+    # before the last between consecutive instances.  Every report, the
+    # counters included, must be the one that caches cleared before each
+    # instance give, over the start of the acceptance sweep and its d = 0
+    # cells (no coordinate before the last) at every s.
+    instances = list(iter_instances(4, 3, SWEEP_GAMMAS, cap=600))
+    instances += [
+        IdentityInstance(s, (2 * s + 1,), (g,)) for s in range(5) for g in SWEEP_GAMMAS
+    ]
+    cold = []
+    for inst in instances:
+        clear_caches()
+        cold.append(untimed(verify(inst)))
+    clear_caches()
+    assert [untimed(verify(inst)) for inst in instances] == cold
+    # the polynomial route walks the other coordinates through the direct
+    # route's cache, and reads what the direct route left there
+    inst = IdentityInstance(s=3, alpha=(2, 1, 4), gamma=(F(1, 2), F(-2, 3), 0))
+    clear_caches()
+    cold_nodes = identity._lhs_at_nodes(inst, 1)
+    clear_caches()
+    verify(IdentityInstance(3, (2, 4, 1), (F(1, 2), 0, F(-2, 3))))
+    assert identity._lhs_at_nodes(inst, 1) == cold_nodes
+    assert identity._head_sums.cache_info().hits == 1
+
+
+def test_grid_instances_reuse_the_head_work():
+    # iter_instances varies the last gamma fastest, so three instances in
+    # four share their coordinates before the last with the one before
+    clear_caches()
+    for inst in iter_instances(4, 3, SWEEP_GAMMAS, cap=5000):
+        verify(inst)
+    for cache in (identity._head_sums, identity._head_series):
+        info = cache.cache_info()
+        assert info.hits / (info.hits + info.misses) >= 0.7, (cache, info)
+
+
+def route_pairs(inst):
+    """Each route's left side as an integer pair."""
+    return (
+        identity._lhs_direct_counted(inst)[0],
+        identity._lhs_residue_pair(inst),
+        identity._lhs_product_pair(inst),
+    )
+
+
+def test_routes_keep_their_values_under_padding_and_permutation():
+    # Two metamorphic relations, each route against itself: inserting a
+    # coordinate (0, g) anywhere changes no left side (its series cancels
+    # the 1 + g it adds to the top), and neither does permuting the
+    # (alpha_i, gamma_i) jointly.  Both move which coordinate is last, and
+    # so what the direct and residue routes cache.  On a seeded sample of
+    # the criterion-8 grid (s <= 6, d <= 3, gammas in {0, 1}).
+    rng = random.Random(8128)
+    grid = list(iter_instances(6, 3, (0, 1)))
+    pads = (F(0), F(1), F(1, 2), F(-2, 3), F(-3))
+    for inst in rng.sample(grid, 400):
+        original = route_pairs(inst)
+        at = rng.randrange(inst.d + 2)
+        padded = IdentityInstance(
+            inst.s,
+            inst.alpha[:at] + (0,) + inst.alpha[at:],
+            inst.gamma[:at] + (rng.choice(pads),) + inst.gamma[at:],
+        )
+        order = list(range(inst.d + 1))
+        rng.shuffle(order)
+        permuted = IdentityInstance(
+            inst.s, [inst.alpha[i] for i in order], [inst.gamma[i] for i in order]
+        )
+        for related in (padded, permuted):
+            for (n, d), (n2, d2) in zip(original, route_pairs(related)):
+                assert n * d2 == n2 * d, (inst, related)
 
 
 def series_t_residue(a, b, s):
@@ -591,32 +676,43 @@ def test_the_pair_verdict_is_exact(signed, form, change):
 # The package functions that two sides of the identity both enter, with
 # cold caches and a fresh instance per side.  Anything else they share is
 # a common point of failure that could make two routes agree wrongly.
-# The three routes also share data: the integer pairs of gamma and of the
-# binomial top that IdentityInstance computes at construction.  The right
-# side reads the gamma Fractions instead, so a wrong pair moves the routes
-# away from it (test_right_side_does_not_read_the_instance_pairs).
+# The three routes also share data: the coordinate triples and the
+# binomial top's integer pair that IdentityInstance computes at
+# construction.  The right side reads the gamma Fractions instead, so a
+# wrong triple or pair moves the routes away from it
+# (test_right_side_does_not_read_the_instance_pairs).
 # None: the product route's scalar residues are sums of math.comb terms.
 SHARED_CODE = {}
 
 
-@pytest.mark.parametrize("wrong", ["_top_pair", "_gamma_pairs"])
+@pytest.mark.parametrize("wrong", ["_top_pair", "_coords"])
 def test_right_side_does_not_read_the_instance_pairs(wrong):
-    # A wrong pair made at construction moves the routes that read it, and
-    # never the right side: the verdict turns false instead of agreeing.
+    # A wrong pair or triple made at construction moves the routes that
+    # read it, and never the right side: the verdict turns false instead
+    # of agreeing.  A wrong triple is tried in the first coordinate, which
+    # the direct and residue routes read through their cached heads, and
+    # in the last, which they read on every call.
     inst = IdentityInstance(s=2, alpha=(2, 3), gamma=(F(1, 2), F(-2, 3)))
-    broken = IdentityInstance(*inst)
+    cases = []
     if wrong == "_top_pair":
+        broken = IdentityInstance(*inst)
         broken._top_pair = (inst._top_pair[0] + 1, inst._top_pair[1])
-        moved = ("lhs_direct", "lhs_residue")
+        cases.append((broken, ("lhs_direct", "lhs_residue")))
     else:
-        broken._gamma_pairs = ((3, 2),) + inst._gamma_pairs[1:]
-        moved = ("lhs_direct", "lhs_residue", "lhs_product")
-    clear_caches()
-    report = verify(broken)
-    assert report.all_equal is False
-    assert report.rhs == rhs_closed(inst) == oracle_rhs(inst.s, inst.alpha, inst.gamma)
-    for name in moved:
-        assert getattr(report, name) != report.rhs
+        for i in range(len(inst.alpha)):
+            broken = IdentityInstance(*inst)
+            coords = list(inst._coords)
+            coords[i] = (inst.alpha[i], 3, 2)
+            broken._coords = tuple(coords)
+            cases.append((broken, ("lhs_direct", "lhs_residue", "lhs_product")))
+    for broken, moved in cases:
+        clear_caches()
+        verify(inst)  # warm caches must not lend the broken instance its work
+        report = verify(broken)
+        assert report.all_equal is False
+        assert report.rhs == rhs_closed(inst) == oracle_rhs(inst.s, inst.alpha, inst.gamma)
+        for name in moved:
+            assert getattr(report, name) != report.rhs
 
 
 def entered_package_functions(side, inst):
@@ -1038,19 +1134,19 @@ def test_lhs_at_nodes_is_the_direct_route_at_drawn_instances(case):
 )
 def test_poly_gamma_enumerates_the_other_coordinates_once(monkeypatch, alpha, coordinate):
     # one pass over the compositions of m = 0..s into the d other parts,
-    # however many nodes alpha_c asks for: the prefix walk's visits, as it
-    # counts them, add up to that one pass
+    # however many nodes alpha_c asks for: the walk's visits, as it counts
+    # them, add up to that one pass
     inst = IdentityInstance(s=3, alpha=alpha, gamma=(F(1, 2),) * len(alpha))
-    real = identity._composition_sums
+    real = identity._head_sums
     visits = 0
 
-    def counted(tables, n):
+    def counted(s, heads):
         nonlocal visits
-        sums, terms = real(tables, n)
-        visits += terms
-        return sums, terms
+        sums, counts, den = real(s, heads)
+        visits += sum(counts)
+        return sums, counts, den
 
-    monkeypatch.setattr(identity, "_composition_sums", counted)
+    monkeypatch.setattr(identity, "_head_sums", counted)
     assert verify_poly_gamma(inst, coordinate)[2]
     d = inst.d
     assert visits == sum(math.comb(m + d - 1, d - 1) for m in range(inst.s + 1))

@@ -6,8 +6,8 @@ their result.  Each must give exactly what the earlier Fraction loop,
 written out below, gives: the same numerators over the same lowest
 denominator, and for a series the same ``(order, nums, den)`` as the
 loop's Fraction coefficients over their lowest common denominator.  The
-direct route's prefix walk, ``identity._composition_sums``, must give
-what a plain enumeration of the compositions gives.  The residue route, ``identity.lhs_residue``,
+direct route's walk, ``identity._head_sums``, must give what a plain
+enumeration of the compositions gives.  The residue route, ``identity.lhs_residue``,
 convolves the integer numerators of the series kernels and must give
 what the product of the public ``TSeries`` gives, at the same op count;
 and the right side's polynomial in ``verify_poly_gamma``, built from row
@@ -151,30 +151,37 @@ def test_scaled_row_is_the_row_at_p_over_q(alpha, g):
 
 
 @st.composite
-def composition_tables(draw):
-    """A budget n and 1..4 integer tables of at least n + 1 entries, zeros
-    drawn often."""
-    n = draw(st.integers(0, 6))
-    entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
-    table = st.lists(entry, min_size=n + 1, max_size=n + 3)
-    return draw(st.lists(table, min_size=1, max_size=4)), n
+def head_coordinates(draw):
+    """A budget s and 0..4 coordinate triples (alpha_i, p_i, q_i), with
+    the negative integer gammas, whose tables hold zeros, drawn often."""
+    s = draw(st.integers(0, 6))
+    gamma = st.one_of(st.integers(-4, -1).map(F), rationals)
+    coordinate = st.tuples(st.integers(0, 4), gamma).map(
+        lambda ag: (ag[0], ag[1].numerator, ag[1].denominator)
+    )
+    return s, tuple(draw(st.lists(coordinate, max_size=4)))
 
 
-@given(composition_tables())
-@example(([[3, 0, 5]], 2))  # one part: the sums are the table itself
-@example(([[0, 0], [0, 7], [2, 0]], 1))
-@example(([[1], [1], [1], [1]], 0))
+@given(head_coordinates())
+@example((2, ((3, 1, 2),)))  # one part: the sums are the table itself
+@example((1, ((0, -1, 1), (1, 0, 1), (2, -2, 1))))
+@example((0, ((1, 0, 1),) * 4))
+@example((3, ()))  # no parts: the empty composition, at budget 0
 def test_composition_sums_are_the_plain_enumeration(case):
-    tables, n = case
-    sums, terms = identity._composition_sums(tables, n)
-    expected, count = [0] * (n + 1), 0
-    for beta in itertools.product(range(n + 1), repeat=len(tables)):
+    s, heads = case
+    sums, counts, den = identity._head_sums(s, heads)
+    tables = [identity._coordinate_factors(*coordinate, s) for coordinate in heads]
+    expected, expected_counts = [0] * (s + 1), [0] * (s + 1)
+    for beta in itertools.product(range(s + 1), repeat=len(heads)):
         m = sum(beta)
-        if m <= n:
-            expected[m] += math.prod(t[b] for t, b in zip(tables, beta))
-            count += 1
-    assert sums == expected
-    assert terms == count == math.comb(n + len(tables), len(tables))
+        if m <= s:
+            expected[m] += math.prod(t[0][b] for t, b in zip(tables, beta))
+            expected_counts[m] += 1
+    assert sums == tuple(expected)
+    assert counts == tuple(expected_counts)
+    assert den == math.prod(t[1] for t in tables)
+    parts = len(heads)
+    assert sum(counts) == math.comb(s + parts, parts)
 
 
 @st.composite

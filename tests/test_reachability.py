@@ -50,6 +50,9 @@ ALLOWED_NAMES = BENCHMARK_ONLY | {
     # the public binomial top; the routes read its integer pair, computed
     # when the instance is constructed
     "IdentityInstance.top",
+    # the public op meter; ``verify`` reads its counter directly, and the
+    # benchmark's harness reads it through this function
+    "coefficient_ops",
     # entered only when the two sides of ``verify --poly-gamma`` disagree,
     # to build the left side's own polynomial; test_poly_gamma_uses_every_node
     # and test_verify_poly_gamma_mismatch_exits_1 enter it
