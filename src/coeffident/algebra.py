@@ -50,6 +50,15 @@ def _refuse_float(value) -> None:
         raise TypeError(f"refusing float {value!r}: pass an exact Fraction instead")
 
 
+def _refuse_text(values, name: str):
+    """``values`` itself, unless it is a str or bytes, which would be read
+    one character or byte at a time where a vector is expected."""
+    if isinstance(values, (str, bytes, bytearray)):
+        kind = type(values).__name__
+        raise TypeError(f"refusing {kind} {values!r} as {name}: pass a sequence")
+    return values
+
+
 def _count(value, name: str, low: int = 0, high: int | None = None) -> int:
     """``value`` as an int in ``low..high`` (no upper bound for None): the
     one check of every count argument.  ``operator.index`` makes a float a
@@ -133,7 +142,7 @@ class Poly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "gamma"):
-        normalized = [as_rational(c) for c in coeffs]
+        normalized = [as_rational(c) for c in _refuse_text(coeffs, "coeffs")]
         while normalized and normalized[-1] == 0:
             normalized.pop()
         self.coeffs = tuple(normalized)
@@ -154,8 +163,6 @@ class Poly:
             return NotImplemented
         if self.var != other.var:
             raise ValueError(f"indeterminate mismatch: {self.var!r} vs {other.var!r}")
-        if not self.coeffs or not other.coeffs:
-            return Poly((), self.var)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import Poly, _count, as_rational
+from .algebra import Poly, _count, _refuse_text, as_rational
 from .residues import (
     _w_residue_numerators,
     base_t_residue,
@@ -91,7 +91,8 @@ class IdentityInstance(_InstanceFields):
 
     Validation happens at construction: the two vectors must have equal
     positive length, s and alpha must be counts (``algebra._count``; a
-    float is refused, not truncated), gamma must be exact rationals, and
+    float is refused, not truncated), gamma must be exact rationals (a
+    str or bytes vector is refused, not read by character), and
     sum(alpha) must equal 2s+1 (the identity is not claimed outside that
     hypothesis).  ``_make``, and so ``_replace``, construct through the
     same checks.
@@ -102,7 +103,8 @@ class IdentityInstance(_InstanceFields):
     lowest-terms pair.  The triples key the routes' caches, so the
     instances of a grid that share their first d coordinates share the
     routes' work on them.  They are no fields, so equality, hashing and
-    pickling see only s, alpha and gamma.
+    pickling see only s, alpha and gamma: ``pickle`` and ``copy`` rebuild
+    an instance through the constructor, the triples' one producer.
     """
 
     def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
@@ -113,7 +115,7 @@ class IdentityInstance(_InstanceFields):
             raise InvalidInstance(f"s and alpha must be integers: {exc}") from None
         except ValueError as exc:
             raise InvalidInstance(str(exc)) from None
-        gamma = tuple(map(as_rational, gamma))
+        gamma = tuple(map(as_rational, _refuse_text(gamma, "gamma")))
         if not alpha:
             raise InvalidInstance("alpha needs at least one coordinate")
         if len(alpha) != len(gamma):
@@ -127,7 +129,8 @@ class IdentityInstance(_InstanceFields):
             )
         self = super().__new__(cls, s, alpha, gamma)
         # the top d + sum(alpha) + sum(gamma) as num/den, den the gammas'
-        # least common denominator; reduced by one gcd at the end
+        # least common denominator, in one pass (on CPython 3.11 math.lcm
+        # and sum over comprehensions cost 1 us more); one gcd at the end
         num, den = len(alpha) - 1 + total, 1
         coords = []
         for a, g in zip(alpha, gamma):
@@ -142,6 +145,9 @@ class IdentityInstance(_InstanceFields):
         self._coords = tuple(coords)
         self._top_pair = (num // common, den // common)
         return self
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @classmethod
     def _make(cls, iterable) -> IdentityInstance:
@@ -621,24 +627,22 @@ def _interpolate(nums: Sequence[int], den: int) -> Poly:
     for integer numerators over one positive denominator, not necessarily
     the lowest.
 
-    Newton's forward-difference form sum_k Delta**k * C(x, k): the
-    differences of the numerators are ints.  Over the scale (n-1)!, the
-    k-th term's weight Delta**k (n-1)!/k! is an int, and Horner's scheme
-    in the falling factors (x - k) expands the sum into integer monomial
-    coefficients; one Fraction is made per coefficient.
+    Newton's form sum_k c_k x(x-1)...(x-k+1), with c_k the divided
+    differences Delta**k y_0 / k! of the values at the nodes 0..n-1,
+    expanded into monomial coefficients by Horner's scheme in the falling
+    factors (x - k).
     """
-    diffs = list(nums)
+    diffs = [Fraction(y, den) for y in nums]
     n = len(diffs)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    scale = math.factorial(n - 1)
-    coeffs: list[int] = []
+            diffs[i] = (diffs[i] - diffs[i - 1]) / level
+    coeffs: list[Fraction] = []
     for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - k) + Delta**k * scale / k!
+        # coeffs <- coeffs * (x - k) + c_k
         coeffs = [a - k * c for a, c in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[k] * (scale // math.factorial(k))
-    return Poly((Fraction(c, scale * den) for c in coeffs), var="gamma")
+        coeffs[0] += diffs[k]
+    return Poly(coeffs, var="gamma")
 
 
 @lru_cache(maxsize=256)
@@ -772,7 +776,7 @@ def iter_instances(
     max_s, max_d = _count(max_s, "max_s"), _count(max_d, "max_d")
     if cap is not None:
         cap = _count(cap, "cap", 1)
-    gam = tuple(as_rational(g) for g in gamma_set)
+    gam = tuple(as_rational(g) for g in _refuse_text(gamma_set, "gamma_set"))
     if not gam:
         raise ValueError("gamma_set must be nonempty")
     grid = (

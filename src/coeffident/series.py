@@ -66,15 +66,13 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """[t**k] of the product of two integer series, for k = 0..n.
 
     ``b`` must reach t**n; ``a`` may be shorter (its tail is zero).  Each
-    nonzero a[i] adds a[i] * b[k - i] to every k >= i, so a zero
-    coefficient of ``a`` costs nothing.  Counts no ops; its callers
+    a[i] adds a[i] * b[k - i] to every k >= i.  Counts no ops; its callers
     charge them.
     """
     out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
-        if x:
-            for k in range(i, n + 1):
-                out[k] += x * b[k - i]
+        for k in range(i, n + 1):
+            out[k] += x * b[k - i]
     return out
 
 
@@ -86,13 +84,13 @@ class TSeries:
     one positive denominator.  The constructor reduces them by one gcd,
     so that gcd(den, *nums) == 1 and equal series have equal
     ``(order, nums, den)``.  ``coeffs``, the tuple of ``Fraction``
-    coefficients, is derived from that form when something reads it.
+    coefficients, is derived from that form on each read.
     The product of two series truncates to the shorter order (the longer
     tail would be unreliable anyway).  Instances are immutable in
     practice.
     """
 
-    __slots__ = ("order", "nums", "den", "_coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, nums: Sequence[int], den: int, order: int):
         order = _count(order, "order")
@@ -103,15 +101,11 @@ class TSeries:
         self.order = order
         self.nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
         self.den = den // g
-        self._coeffs = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest power first."""
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(n, den) for n in self.nums)
-        return self._coeffs
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __mul__(self, other):
         if not isinstance(other, TSeries):

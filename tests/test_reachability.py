@@ -1,7 +1,8 @@
 """Every function in the package is reached by the command line or by a
 reference witness.
 
-A fresh interpreter imports ``coeffident`` under ``sys.settrace``, runs
+A fresh interpreter imports ``coeffident`` under ``sys.settrace`` (and
+``threading.settrace``, for the threads of the ``--jobs`` pool), runs
 every subcommand once with small inputs in JSON and in CSV (``verify``
 with and without ``--poly-gamma``, ``sweep`` with one job and with two,
 ``lemma2``, ``lemma3``, ``jseries``), the help page of the program and
@@ -65,7 +66,7 @@ ALLOWED_NAMES = BENCHMARK_ONLY | {
 ALLOWED_DUNDERS = {"__repr__"}
 
 SCRIPT = r"""
-import contextlib, io, json, sys, types
+import contextlib, io, json, sys, threading, types
 from pathlib import Path
 
 package = Path(sys.argv[1]) / "coeffident"
@@ -76,6 +77,8 @@ def tracer(frame, event, arg):
     if code.co_filename.startswith(str(package)):
         entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
+# threads too: the pool of ``sweep --jobs 2`` pickles its instances in one
+threading.settrace(tracer)
 sys.settrace(tracer)
 from fractions import Fraction
 from coeffident import cli
@@ -126,6 +129,7 @@ if Poly(table.entries[0]).coeffs != rising.coeffs:
 half = Fraction(1, 2)
 if sum(c * half**i for i, c in enumerate(table.entries[1])) / 6 != table.weight(1, half):
     sys.exit("derivative-table weight is not its row evaluated")
+threading.settrace(None)
 sys.settrace(None)
 
 def functions(code, qualname):
