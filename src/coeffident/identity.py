@@ -41,6 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Poly, _count, _refuse_text, as_rational
 from .residues import (
+    DerivativeTable,
     _w_residue_numerators,
     base_t_residue,
     correction_t_residue,
@@ -92,8 +93,8 @@ class IdentityInstance(_InstanceFields):
     Validation happens at construction: the two vectors must have equal
     positive length, s and alpha must be counts (``algebra._count``; a
     float is refused, not truncated), gamma must be exact rationals (a
-    str or bytes vector is refused, not read by character), and
-    sum(alpha) must equal 2s+1 (the identity is not claimed outside that
+    str or bytes vector, alpha or gamma, is refused, not read by
+    character), and sum(alpha) must equal 2s+1 (the identity is not claimed outside that
     hypothesis).  ``_make``, and so ``_replace``, construct through the
     same checks.
 
@@ -104,10 +105,13 @@ class IdentityInstance(_InstanceFields):
     instances of a grid that share their first d coordinates share the
     routes' work on them.  They are no fields, so equality, hashing and
     pickling see only s, alpha and gamma: ``pickle`` and ``copy`` rebuild
-    an instance through the constructor, the triples' one producer.
+    an instance through the constructor.  The constructor and
+    ``iter_instances`` share the triples' one producer,
+    ``_checked_instance``.
     """
 
     def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
+        alpha = _refuse_text(alpha, "alpha")
         try:
             s = _count(s, "s")
             alpha = tuple([_count(a, "alpha_i") for a in alpha])
@@ -127,24 +131,9 @@ class IdentityInstance(_InstanceFields):
             raise InvalidInstance(
                 f"sum(alpha) = {total} but the hypothesis needs 2s+1 = {2 * s + 1}"
             )
-        self = super().__new__(cls, s, alpha, gamma)
-        # the top d + sum(alpha) + sum(gamma) as num/den, den the gammas'
-        # least common denominator, in one pass (on CPython 3.11 math.lcm
-        # and sum over comprehensions cost 1 us more); one gcd at the end
-        num, den = len(alpha) - 1 + total, 1
-        coords = []
-        for a, g in zip(alpha, gamma):
-            p, q = g.numerator, g.denominator
-            coords.append((a, p, q))
-            if den % q:
-                lcm = math.lcm(den, q)
-                num *= lcm // den
-                den = lcm
-            num += p * (den // q)
-        common = math.gcd(num, den)
-        self._coords = tuple(coords)
-        self._top_pair = (num // common, den // common)
-        return self
+        return _checked_instance(
+            cls, s, alpha, gamma, [(g.numerator, g.denominator) for g in gamma]
+        )
 
     def __reduce__(self):
         return type(self), tuple(self)
@@ -163,6 +152,34 @@ class IdentityInstance(_InstanceFields):
         """The left side's binomial top d + sum(alpha) + sum(gamma),
         made from the integer pair computed at construction."""
         return Fraction(*self._top_pair)
+
+
+def _checked_instance(
+    cls: type, s: int, alpha: tuple[int, ...], gamma: tuple[Fraction, ...], pairs
+) -> IdentityInstance:
+    """The instance of fields that already passed the constructor's checks,
+    with ``pairs`` the gammas' (numerator, denominator) pairs in order:
+    the one producer of the coordinate triples and the top's pair, which
+    ``IdentityInstance`` and ``iter_instances`` both call.
+    """
+    self = tuple.__new__(cls, (s, alpha, gamma))
+    # the top d + sum(alpha) + sum(gamma), sum(alpha) = 2s+1, as num/den,
+    # den the gammas' least common denominator, in one pass (on CPython
+    # 3.11 math.lcm and sum over comprehensions cost 1 us more); one gcd
+    # at the end
+    num, den = len(alpha) + 2 * s, 1
+    coords = []
+    for a, (p, q) in zip(alpha, pairs):
+        coords.append((a, p, q))
+        if den % q:
+            lcm = math.lcm(den, q)
+            num *= lcm // den
+            den = lcm
+        num += p * (den // q)
+    common = math.gcd(num, den)
+    self._coords = tuple(coords)
+    self._top_pair = (num // common, den // common)
+    return self
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -278,7 +295,8 @@ def _direct_sums(inst: IdentityInstance) -> tuple[list[int], int, int]:
     return sums, den * last_den, terms
 
 
-def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=256)
+def _falling_weights(p: int, q: int, s: int) -> tuple[tuple[int, ...], int]:
     """(-1)**j C(top, j) for j = 0..s, top = p/q (q > 0), as integer
     numerators over the scale q**s s!.
 
@@ -293,7 +311,7 @@ def _falling_weights(p: int, q: int, s: int) -> tuple[list[int], int]:
     for j in range(s):
         weight = weight * (j * q - p) // (q * (j + 1))
         weights.append(weight)
-    return weights, scale
+    return tuple(weights), scale
 
 
 def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
@@ -377,6 +395,32 @@ def lhs_residue(inst: IdentityInstance) -> Fraction:
 # reduced-product route
 
 
+@lru_cache(maxsize=256)
+def _correction_factor(
+    table: DerivativeTable, p: int, q: int
+) -> tuple[tuple[int, ...], int, int]:
+    """One coordinate's factor of the correction polynomial at
+    alpha = table.alpha >= 2 and gamma = p/q in lowest terms (q > 0): its
+    numerators of u**0, u**1, ..., u**(2 * (alpha//2)), reduced by their gcd;
+    the leading binomial's numerator ``scaled_row(0, p, q)``; and the
+    scale q**alpha alpha! that both are over before the reduction.
+
+    The factor is 1 + sum_k weight_k u**(2k) for k = 1..alpha//2, with
+    weight_k = entries[k](gamma) / alpha!: over the scale, its numerators
+    are the scale at u**0 and ``scaled_row(k, p, q)`` at u**(2k).  The
+    key is the table that the caller looked up, not alpha, so that every
+    call still makes the route's lookups.
+    """
+    a = table.alpha
+    half = a // 2
+    scale = q**a * math.factorial(a)
+    factor = [scale] + [0] * (2 * half)
+    for k in range(1, half + 1):
+        factor[2 * k] = table.scaled_row(k, p, q)
+    common = math.gcd(*factor)
+    return tuple([y // common for y in factor]), table.scaled_row(0, p, q), scale
+
+
 def _correction_numerators(
     inst: IdentityInstance,
 ) -> tuple[list[int], int, tuple[int, int]]:
@@ -386,22 +430,20 @@ def _correction_numerators(
     numerator and positive denominator (not reduced).
 
     The polynomial is the product, in u = (1-t)/(1+t), of one factor per
-    coordinate, 1 + sum_k weight_k u**(2k) for k = 1..alpha_i//2, with
-    weight_k = entries[k](gamma_i) / alpha_i! from ``derivative_table(alpha_i)``.
-    So it has only even powers of u, degree at most
-    2 * sum(alpha_i//2) <= 2s, and constant term 1.  At gamma_i = p/q the
-    factor's numerators over the scale q**alpha_i alpha_i! are that scale
-    at u**0 and the integer ``scaled_row(k, p, q)`` at u**(2k), reduced by
-    their gcd.  The factors are multiplied by integer convolution, and the
-    denominators multiply; no Fraction is made.
+    coordinate with alpha_i >= 2 (``_correction_factor``), in even powers
+    of u only, so it has degree at most 2 * sum(alpha_i//2) <= 2s and
+    constant term 1.  The factors are multiplied by integer convolution,
+    and their reduced constant terms, the denominators, multiply; no
+    Fraction is made.
 
     The k = 0 weight is the leading binomial: row 0 is the rising product
     (c+1)...(c+alpha_i), so for alpha_i >= 2 the coordinate's binomial is
-    ``scaled_row(0, p, q)`` over the same scale, read from the table that
-    the coordinate's last weight lookup returned; for alpha_i <= 1 it is
-    ((p+q)/q)**alpha_i.
+    ``scaled_row(0, p, q)`` over the factor's scale, read from the table
+    that the coordinate's last weight lookup returned; for alpha_i <= 1 it
+    is ((p+q)/q)**alpha_i.
 
-    The table is looked up once per weight, not once per coordinate: the
+    The table is looked up once per weight, not once per coordinate, and
+    the factor is cached by the table the last lookup returned: the
     benchmark's traced replay makes the same lookups and checks the
     table's hit ratio against the untraced run.
     ``test_verify_looks_up_the_derivative_table_once_per_weight`` pins the
@@ -417,15 +459,11 @@ def _correction_numerators(
             lead_num *= (p + q) ** a
             lead_den *= q**a
             continue
-        scale = q**a * math.factorial(a)
-        factor = [scale] + [0] * (2 * half)
-        for k in range(1, half + 1):
+        for _ in range(half):  # one lookup per weight, as the replay makes them
             table = derivative_table(a)
-            factor[2 * k] = table.scaled_row(k, p, q)
-        lead_num *= table.scaled_row(0, p, q)
+        factor, lead, scale = _correction_factor(table, p, q)
+        lead_num *= lead
         lead_den *= scale
-        common = math.gcd(*factor)
-        factor = [y // common for y in factor]
         product = [0] * (len(nums) + 2 * half)
         for i, x in enumerate(nums):
             if x:
@@ -481,19 +519,27 @@ def lhs_product(inst: IdentityInstance) -> Fraction:
     return Fraction(*_lhs_product_pair(inst))
 
 
+@lru_cache(maxsize=256)
+def _rising_product(a: int, p: int, q: int) -> tuple[int, int]:
+    """C(p/q + a, a) for q > 0 as the rising product
+    prod_{k=1..a} (p + k*q) over q**a a!, an integer numerator and
+    denominator (not reduced)."""
+    return math.prod(range(p + q, p + a * q + 1, q)), q**a * math.factorial(a)
+
+
 def _binomial_product(
     alpha: Sequence[int], gamma: Sequence[Fraction]
 ) -> tuple[int, int]:
-    """prod_i C(gamma_i + alpha_i, alpha_i), each the rising product
-    prod_{k=1..alpha_i} (p + k*q) over q**alpha_i alpha_i! for gamma_i = p/q,
-    as an integer numerator and denominator (not reduced).  The right side
-    shares no code with the product route, which reads its binomials from
-    row 0 of the derivative table."""
+    """prod_i C(gamma_i + alpha_i, alpha_i), each the rising product of
+    ``_rising_product`` at gamma_i = p/q, as an integer numerator and
+    denominator (not reduced).  The right side shares no code with the
+    product route, which reads its binomials from row 0 of the
+    derivative table."""
     num = den = 1
     for a, g in zip(alpha, gamma):
-        p, q = g.numerator, g.denominator
-        num *= math.prod(range(p + q, p + a * q + 1, q))
-        den *= q**a * math.factorial(a)
+        n, d = _rising_product(a, g.numerator, g.denominator)
+        num *= n
+        den *= d
     return num, den
 
 
@@ -772,6 +818,11 @@ def iter_instances(
     ``gamma_set`` in the given order.  ``cap`` cuts the stream after that
     many instances, so a capped sweep is a prefix of the uncapped one.
     The arguments are checked on the call, before any instance is drawn.
+
+    Every alpha is a composition of 2s+1 and every gamma is drawn from the
+    checked set, so each instance is built without the constructor's
+    per-coordinate checks, from the gammas' integer pairs taken once per
+    gamma set; the instance is the one the constructor makes.
     """
     max_s, max_d = _count(max_s, "max_s"), _count(max_d, "max_d")
     if cap is not None:
@@ -779,12 +830,15 @@ def iter_instances(
     gam = tuple(as_rational(g) for g in _refuse_text(gamma_set, "gamma_set"))
     if not gam:
         raise ValueError("gamma_set must be nonempty")
+    pairs = tuple((g.numerator, g.denominator) for g in gam)
     grid = (
-        IdentityInstance(s=s, alpha=alpha, gamma=gamma)
+        _checked_instance(IdentityInstance, s, alpha, gamma, gamma_pairs)
         for s in range(max_s + 1)
         for d in range(max_d + 1)
         for alpha in compositions(2 * s + 1, d + 1)
-        for gamma in itertools.product(gam, repeat=d + 1)
+        for gamma, gamma_pairs in zip(
+            itertools.product(gam, repeat=d + 1), itertools.product(pairs, repeat=d + 1)
+        )
     )
     return itertools.islice(grid, cap)
 

@@ -104,6 +104,10 @@ def oracle_rhs(s, alpha, gamma):
 # --- instances -----------------------------------------------------------------
 
 
+# the gamma set of the acceptance sweep
+SWEEP_GAMMAS = (F(0), F(1), F(2), F(1, 2))
+
+
 def test_instance_validation():
     inst = IdentityInstance(s=1, alpha=(1, 2), gamma=(F(0), F(0)))
     assert inst.d == 1
@@ -183,17 +187,22 @@ def test_records_survive_pickling():
 
 
 @pytest.mark.parametrize(
-    "text", ["12", b"12", bytearray(b"12"), "1/2"], ids=["str", "bytes", "bytearray", "ratio"]
+    "text",
+    ["12", b"12", bytearray(b"12"), "1/2", b"\x03"],
+    ids=["str", "bytes", "bytearray", "ratio", "bytes-count"],
 )
 def test_text_is_not_a_vector(text):
     # a str or bytes would be read one character or byte at a time: "12"
-    # as the gammas 1 and 2, b"12" as 49 and 50
+    # as the gammas 1 and 2, b"12" as 49 and 50, and b"\x03" as the
+    # alpha (3,) of a valid instance at s = 1
     with pytest.raises(TypeError, match="as gamma_set:"):
         iter_instances(0, 0, text)
     with pytest.raises(TypeError, match="as gamma_set:"):
         sweep(0, 0, text)
     with pytest.raises(TypeError, match="as gamma:"):
         IdentityInstance(1, (1, 2), text)
+    with pytest.raises(TypeError, match="as alpha:"):
+        IdentityInstance(1, text, (0,) * len(text))
     with pytest.raises(TypeError, match="as coeffs:"):
         Poly(text)
     # a sequence of strings is a vector of rationals
@@ -201,6 +210,22 @@ def test_text_is_not_a_vector(text):
     assert gammas == [(F(1, 2),), (F(2),)]
     assert IdentityInstance(1, (3,), ["1/2"]).gamma == (F(1, 2),)
     assert Poly(["1", "1/2"]).coeffs == (1, F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(6, 3, (0, 1), None), (4, 3, SWEEP_GAMMAS, 5000), (3, 2, ("-2/4", F(-1, 3), 5), None)],
+    ids=["criterion-8", "acceptance", "mixed-denominators"],
+)
+def test_grid_instances_are_the_constructors(grid):
+    # iter_instances builds its instances without the constructor's
+    # checks; each must be the instance the constructor makes of its
+    # fields, down to the triples and the top's pair
+    for inst in iter_instances(*grid):
+        built = IdentityInstance(*inst)
+        assert inst == built and type(inst) is IdentityInstance
+        assert vars(inst) == vars(built)
+        assert all(type(g) is F for g in inst.gamma)
 
 
 def test_replace_and_make_validate():
@@ -285,12 +310,16 @@ def clear_caches():
         cached.cache_clear()
 
 
-# Every cache in the package: each is a plain int-keyed lru_cache on a
-# kernel that counts no ops.
+# Every cache in the package: each is a plain lru_cache on a kernel that
+# counts no ops, keyed by ints, except the product route's factors, which
+# are keyed by the derivative table that the route looked up and ints.
 PACKAGE_CACHES = (
     identity._coordinate_factors,
     identity._head_sums,
+    identity._falling_weights,
     identity._head_series,
+    identity._correction_factor,
+    identity._rising_product,
     identity._node_tables,
     _w_residue_numerators,
     _binomial_numerators,
@@ -307,6 +336,33 @@ def test_caches_are_bounded():
     found = {f"{c.__module__}.{c.__qualname__}" for c in caches}
     listed = {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}
     assert found == listed
+
+
+# one key of each package cache
+CACHE_SAMPLES = {
+    identity._coordinate_factors: (3, 1, 2, 4),
+    identity._head_sums: (3, ((2, 1, 2), (1, -2, 3))),
+    identity._falling_weights: (31, 6, 3),
+    identity._head_series: (3, ((2, 1, 2), (1, -2, 3))),
+    identity._correction_factor: (derivative_table(5), -2, 3),
+    identity._rising_product: (4, -7, 2),
+    identity._node_tables: (2, 3),
+    _w_residue_numerators: (3, 1, 2, 4),
+    _binomial_numerators: (-1, 1, 31, 6, 4),
+    _t_residue: (-1, 5, 2),
+    derivative_table: (5,),
+}
+
+
+def test_every_cache_returns_a_hashable_value():
+    # a cached list would be one object shared by every caller, which any
+    # of them could mutate for all the others
+    assert set(CACHE_SAMPLES) == set(PACKAGE_CACHES)
+    clear_caches()
+    for cache, key in CACHE_SAMPLES.items():
+        for _ in range(2):  # cold, then from the cache
+            hash(cache(*key))
+        assert cache.cache_info().hits == 1, cache
 
 
 def criterion_6_instances():
@@ -328,9 +384,6 @@ def test_reports_do_not_depend_on_cache_state():
         cold = verify(inst)
         warm = verify(inst)
         assert untimed(cold) == untimed(warm)
-
-
-SWEEP_GAMMAS = (F(0), F(1), F(2), F(1, 2))
 
 
 def test_warm_caches_give_the_cold_reports():
@@ -373,7 +426,10 @@ def hit_ratio(cache):
 GRID_FLOORS = {
     identity._coordinate_factors: 0.95,
     identity._head_sums: 0.7,
+    identity._falling_weights: 0.95,
     identity._head_series: 0.7,
+    identity._correction_factor: 0.95,
+    identity._rising_product: 0.95,
     _w_residue_numerators: 0.95,
     _binomial_numerators: 0.95,
     _t_residue: 0.95,
@@ -761,7 +817,14 @@ def test_right_side_does_not_read_the_instance_pairs(wrong):
     for broken, moved in cases:
         clear_caches()
         verify(inst)  # warm caches must not lend the broken instance its work
+        if wrong == "_coords":
+            # nor may an entry made for the wrong triple itself: the
+            # product route's factor of every coordinate is warm
+            verify(IdentityInstance(inst.s, inst.alpha, (F(3, 2), F(3, 2))))
+            hits = identity._correction_factor.cache_info().hits
         report = verify(broken)
+        if wrong == "_coords":
+            assert identity._correction_factor.cache_info().hits == hits + 2
         assert report.all_equal is False
         assert report.rhs == rhs_closed(inst) == oracle_rhs(inst.s, inst.alpha, inst.gamma)
         for name in moved:
