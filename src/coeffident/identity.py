@@ -31,6 +31,7 @@ tolerances -- on every valid instance.  ``verify`` decides it on integer
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -232,40 +233,41 @@ def _coordinate_factors(
 @lru_cache(maxsize=256)
 def _head_sums(
     s: int, heads: tuple[tuple[int, int, int], ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], int, int]:
     """For every budget u = 0..s, the sum over the compositions beta of u
     into len(heads) parts of prod_i T_i[beta_i], where T_i is the factor
     table to b = s (``_coordinate_factors``) of the coordinate triple
-    heads[i]; the number of those compositions, for every u; and the
-    product of the tables' denominators, the denominator of every sum.
+    heads[i]; the number of terms the direct route sums once a closing
+    part is added; and the product of the tables' denominators, the
+    denominator of every sum.
 
     One depth-first walk with an explicit stack (no recursion, so any
     number of parts works) carries each prefix's budget and product, and
-    adds each full composition to the sum of its budget: every
-    composition is visited, and counted, exactly once, and none is kept.
-    With no parts, the one empty composition has budget 0 and product 1.
-    The routes key it by an instance's coordinates before the last, so
-    the instances of a grid that differ only in the last coordinate
-    share one walk.
+    adds each full composition to the sum of its budget u, and its
+    s + 1 - u closing parts to the count: every composition is visited
+    exactly once, and none is kept.  With no parts, the one empty
+    composition has budget 0 and product 1.  The routes key it by an
+    instance's coordinates before the last, so the instances of a grid
+    that differ only in the last coordinate share one walk.
     """
     tables, den = [], 1
     for a, p, q in heads:
         nums, table_den = _coordinate_factors(a, p, q, s)
         tables.append(nums)
         den *= table_den
-    sums, counts = [0] * (s + 1), [0] * (s + 1)
+    sums, terms = [0] * (s + 1), 0
     depth = len(tables)
     stack = [(0, 0, 1)]  # (parts chosen, budget used, prefix product)
     while stack:
         level, used, prefix = stack.pop()
         if level == depth:
             sums[used] += prefix
-            counts[used] += 1
+            terms += s + 1 - used
             continue
         table = tables[level]
         for b in range(s - used + 1):
             stack.append((level + 1, used + b, prefix * table[b]))
-    return tuple(sums), tuple(counts), den
+    return tuple(sums), terms, den
 
 
 def _direct_sums(inst: IdentityInstance) -> tuple[list[int], int, int]:
@@ -279,19 +281,17 @@ def _direct_sums(inst: IdentityInstance) -> tuple[list[int], int, int]:
     sum at budget u adds head[u] * last[m - u] to the sum of every
     m >= u, in a loop of its own, so that this route shares no code with
     the residue route's ``_convolve``.  That is the composition sum
-    grouped by its last part, so each of the counts[u] head compositions
-    closes against s + 1 - u last parts, and the count is the walk's
-    whether its cache entry was warm or cold.
+    grouped by its last part; the count is the one the head walk took
+    with the closing parts, whether its cache entry was warm or cold.
     """
     s, coords = inst.s, inst._coords
-    heads, counts, den = _head_sums(s, coords[:-1])
+    heads, terms, den = _head_sums(s, coords[:-1])
     last, last_den = _coordinate_factors(*coords[-1], s)
     sums = [0] * (s + 1)
     for u, head in enumerate(heads):
         if head:
             for m in range(u, s + 1):
                 sums[m] += head * last[m - u]
-    terms = sum(count * (s + 1 - u) for u, count in enumerate(counts))
     return sums, den * last_den, terms
 
 
@@ -852,9 +852,13 @@ def sweep(
 ) -> Iterator[VerificationReport]:
     """``verify`` over the instance grid, in enumeration order.
 
-    With jobs > 1 the instances go to worker processes; ordered imap
-    keeps the output stream identical to the serial one, and the pool
-    starts when the first report is drawn; ``jobs`` is checked on the call.
+    With jobs > 1 the instances go to worker processes in chunks of 32,
+    and the reports come back chunk by chunk in submission order, so the
+    output stream is identical to the serial one.  The pool starts when
+    the first report is drawn, and at most 2 * jobs chunks are in flight:
+    a chunk is drawn from the grid only after the oldest one's reports
+    have been taken, so a reader that stalls stops the sweep, as a
+    blocked write stops a serial one.  ``jobs`` is checked on the call.
     """
     jobs = _count(jobs, "jobs", 1, MAX_JOBS)
     instances = iter_instances(max_s, max_d, gamma_set, cap)
@@ -867,5 +871,11 @@ def _pooled_reports(
     instances: Iterator[IdentityInstance], jobs: int
 ) -> Iterator[VerificationReport]:
     import multiprocessing  # here, so that a serial run does not pay for it
+    window = collections.deque()
     with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(verify, instances, chunksize=32)
+        while chunk := list(itertools.islice(instances, 32)):
+            window.append(pool.map_async(verify, chunk, chunksize=32))
+            if len(window) == 2 * jobs:
+                yield from window.popleft().get()
+        while window:
+            yield from window.popleft().get()

@@ -23,7 +23,7 @@ way, as the term-by-term sum
 
 ``base_t_residue`` and ``correction_t_residue`` are the two scalar
 t-extractions the reduced-product route of the identity engine needs,
-both [t**s] (1-t)**a (1+t)**b as one integer sum, cached by int key:
+both [t**s] (1-t)**a (1+t)**b as one O(s) integer sum, not cached:
 the base one always equals 4**s, and the corrections vanish exactly at
 even correction index (the coefficient vector of the underlying
 polynomial is palindromic with sign (-1)**(k-1), killing the middle
@@ -204,7 +204,6 @@ def w_residue_closed(alpha: int, gamma, order: int) -> TSeries:
     return TSeries(nums, den * q**alpha * math.factorial(alpha), order)
 
 
-@lru_cache(maxsize=256)
 def _t_residue(a: int, b: int, s: int) -> int:
     """[t**s] (1-t)**a (1+t)**b (ints a >= -1, b >= 0) as sum_j c_j C(b, s-j)
     with c_j = [t**j] (1-t)**a, stepped exactly from c_0 = 1.  Counts no ops."""

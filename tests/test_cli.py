@@ -492,22 +492,28 @@ def test_sweep_deterministic_modulo_timings(capsys):
     assert normalized() == normalized()
 
 
-def test_sweep_parallel_stream_matches_serial(capsys):
-    base = ["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--cap", "10"]
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_parallel_stream_matches_serial(capsys, fmt):
+    # 648 instances: 20 full chunks of 32 and a partial one, more than the
+    # 4 chunks that two workers keep in flight
+    base = ["sweep", "--max-s", "3", "--max-d", "2", "--gamma-set", "0,1", "--format", fmt]
 
     def normalized(argv):
         code, lines, _ = run_lines(capsys, argv)
         assert code == 0
-        out = []
-        for line in lines:
-            record = json.loads(line)
-            for key in list(record):
-                if key.startswith("time_"):
-                    del record[key]
-            out.append(json.dumps(record, sort_keys=True))
-        return out
+        if fmt == "json":
+            records = [json.loads(line) for line in lines]
+        else:
+            header, *rows = csv.reader(io.StringIO("\n".join(lines)))
+            records = [dict(zip(header, row)) for row in rows]
+        return [
+            {k: v for k, v in record.items() if not k.startswith("time_")}
+            for record in records
+        ]
 
-    assert normalized(base) == normalized(base + ["--jobs", "2"])
+    serial = normalized(base)
+    assert len(serial) == 648
+    assert normalized(base + ["--jobs", "2"]) == serial
 
 
 # --- table subcommands --------------------------------------------------------------------

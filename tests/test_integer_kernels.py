@@ -169,19 +169,20 @@ def head_coordinates(draw):
 @example((3, ()))  # no parts: the empty composition, at budget 0
 def test_composition_sums_are_the_plain_enumeration(case):
     s, heads = case
-    sums, counts, den = identity._head_sums(s, heads)
+    sums, terms, den = identity._head_sums(s, heads)
     tables = [identity._coordinate_factors(*coordinate, s) for coordinate in heads]
-    expected, expected_counts = [0] * (s + 1), [0] * (s + 1)
+    expected, expected_terms = [0] * (s + 1), 0
     for beta in itertools.product(range(s + 1), repeat=len(heads)):
         m = sum(beta)
         if m <= s:
             expected[m] += math.prod(t[0][b] for t, b in zip(tables, beta))
-            expected_counts[m] += 1
+            expected_terms += s + 1 - m  # the closing parts 0..s - m
     assert sums == tuple(expected)
-    assert counts == tuple(expected_counts)
+    assert terms == expected_terms
     assert den == math.prod(t[1] for t in tables)
-    parts = len(heads)
-    assert sum(counts) == math.comb(s + parts, parts)
+    # the compositions of 0..s into the heads and one closing part
+    parts = len(heads) + 1
+    assert terms == math.comb(s + parts, parts)
 
 
 @st.composite
