@@ -19,7 +19,6 @@ before it was all written (128 + SIGPIPE, as a shell reports it).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -30,6 +29,8 @@ from .algebra import _count, _rational_parts, parse_rational
 from .identity import (
     MAX_JOBS,
     IdentityInstance,
+    VerificationReport,
+    _PolyRecord,
     sweep,
     verify,
     verify_poly_gamma,
@@ -142,29 +143,21 @@ def _format(text: str) -> str:
 _FORMAT = _Flag("--format", "format", _format, optional=True, metavar="{json,csv}")
 
 
-def _run_verify(cfg: CliConfig) -> list[dict]:
+def _run_verify(cfg: CliConfig) -> list[VerificationReport | _PolyRecord]:
     try:
         inst = IdentityInstance(s=cfg.s, alpha=cfg.alpha, gamma=cfg.gamma)
         if cfg.poly_gamma is not None:  # before any route runs
             _count(cfg.poly_gamma, "--poly-gamma", 0, inst.d)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    record = verify(inst).to_json_dict()
-    if cfg.poly_gamma is not None:
-        lhs, rhs, equal = verify_poly_gamma(inst, cfg.poly_gamma)
-        record["poly_gamma"] = cfg.poly_gamma
-        record["lhs_poly"] = [str(c) for c in lhs.coeffs]
-        # when the sides agree they are one polynomial, spelled once
-        record["rhs_poly"] = (
-            record["lhs_poly"] if rhs is lhs else [str(c) for c in rhs.coeffs]
-        )
-        record["poly_equal"] = equal
-    return [record]
+    report = verify(inst)
+    if cfg.poly_gamma is None:
+        return [report]
+    return [_PolyRecord(report, cfg.poly_gamma, *verify_poly_gamma(inst, cfg.poly_gamma))]
 
 
-def _run_sweep(cfg: CliConfig) -> Iterable[dict]:
-    reports = sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
-    return (report.to_json_dict() for report in reports)
+def _run_sweep(cfg: CliConfig) -> Iterable[VerificationReport]:
+    return sweep(cfg.max_s, cfg.max_d, cfg.gamma_set, cap=cfg.cap, jobs=cfg.jobs)
 
 
 def _run_lemma2(cfg: CliConfig) -> list[dict]:
@@ -211,8 +204,12 @@ def _run_jseries(cfg: CliConfig) -> list[dict]:
     return [record]
 
 
+# A record to emit: a report, which writes its own JSON line and carries a
+# verdict (verify and sweep), or a plain dict (the table commands).
+_Record = VerificationReport | _PolyRecord | dict
+
 # subcommand -> (help, flags, runner); a runner returns the records to emit
-_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[[CliConfig], Iterable[dict]]]] = {
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[[CliConfig], Iterable[_Record]]]] = {
     "verify": (
         "check one instance by all routes",
         (
@@ -385,30 +382,40 @@ def _cell(key: str, value) -> str:
     return str(value)
 
 
-# One compact encoder for every record: json.dumps with non-default
-# separators would build a new JSONEncoder per call.  Records are flat
-# dicts of ints, strings and lists, so there is no cycle to check for.
-_encode_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-
-
-def _emit(out: IO[str], fmt: str, records: Iterable[dict]) -> int:
+def _emit(out: IO[str], fmt: str, records: Iterable[_Record]) -> int:
     """Write records one per line: compact JSON, or CSV under a header of
-    the first record's keys.  Returns the exit status: 1 if some record
-    holds a false verdict (``all_equal`` or ``poly_equal``: a route
-    disagreed), else 0."""
+    the first record's keys.  A report writes its own JSON line; a table
+    command's dict is encoded by ``json``, imported for it alone, so that
+    ``verify`` and ``sweep`` never load it.  Returns the exit status: 1 if
+    some report's ``all_equal`` is false (a route disagreed, or a
+    ``--poly-gamma`` certificate failed), else 0."""
     ok = True
-    writer = None
+    writer = encode = None
     for record in records:
-        if not (record.get("all_equal", True) and record.get("poly_equal", True)):
-            ok = False
-        if fmt == "json":
-            out.write(_encode_json(record) + "\n")
-            continue
+        if isinstance(record, dict):  # lemma2, lemma3, jseries: no verdict
+            row = record
+            if fmt == "json":
+                if encode is None:
+                    import json
+
+                    # compact, and one encoder for the whole run: json.dumps
+                    # with non-default separators builds one per call.  The
+                    # records are flat, so there is no cycle to check for.
+                    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+                out.write(encode(record) + "\n")
+                continue
+        else:
+            if not record.all_equal:
+                ok = False
+            if fmt == "json":
+                out.write(record.to_json_line() + "\n")
+                continue
+            row = record.to_json_dict()
         if writer is None:
             import csv  # here, so that a JSON run does not pay for it
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(record.keys())
-        writer.writerow([_cell(key, value) for key, value in record.items()])
+            writer.writerow(row.keys())
+        writer.writerow([_cell(key, value) for key, value in row.items()])
     return 0 if ok else 1
 
 

@@ -584,22 +584,28 @@ class VerificationReport(NamedTuple):
     residue_ops: int
     product_ops: int
 
-    def to_json_dict(self) -> dict:
-        """The report as a record, in field order: ``instance`` expands to
-        s, d, alpha, gamma, the four values become their ``str``, and every
-        other field passes through.  A value that is the same object as
-        the one before it is spelled once, so an agreeing report, whose
-        four values are one Fraction, makes one string."""
-        inst = self.instance
+    def _strings(self) -> tuple[str, str, str, str, list[str]]:
+        """The four values' and the gamma coordinates' ``str``, as both
+        record forms spell them.  A value that is the same object as the one
+        before it is spelled once, so an agreeing report, whose four values
+        are one Fraction, makes one string."""
         direct = str(self.lhs_direct)
         res = direct if self.lhs_residue is self.lhs_direct else str(self.lhs_residue)
         prod = res if self.lhs_product is self.lhs_residue else str(self.lhs_product)
         rhs = prod if self.rhs is self.lhs_product else str(self.rhs)
+        return direct, res, prod, rhs, [str(g) for g in self.instance.gamma]
+
+    def to_json_dict(self) -> dict:
+        """The report as a record, in field order: ``instance`` expands to
+        s, d, alpha, gamma, the four values become their ``str``, and every
+        other field passes through."""
+        inst = self.instance
+        direct, res, prod, rhs, gamma = self._strings()
         return {
             "s": inst.s,
             "d": inst.d,
             "alpha": list(inst.alpha),
-            "gamma": [str(g) for g in inst.gamma],
+            "gamma": gamma,
             "lhs_direct": direct,
             "lhs_residue": res,
             "lhs_product": prod,
@@ -613,6 +619,79 @@ class VerificationReport(NamedTuple):
             "residue_ops": self.residue_ops,
             "product_ops": self.product_ops,
         }
+
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``,
+        formatted straight from the fields, with no dict and no encoder."""
+        return f"{{{self._json_fields()}}}"
+
+    def _json_fields(self) -> str:
+        """The JSON line's fields, without its braces.  Nothing needs
+        escaping: every string is the ``str`` of a Fraction, and every
+        other field is an int or the verdict."""
+        direct, res, prod, rhs, gamma = self._strings()
+        inst = self.instance
+        alpha = ",".join(map(str, inst.alpha))
+        verdict = "true" if self.all_equal else "false"
+        return (
+            f'"s":{inst.s},"d":{inst.d},"alpha":[{alpha}],"gamma":{_json_strings(gamma)},'
+            f'"lhs_direct":"{direct}","lhs_residue":"{res}","lhs_product":"{prod}",'
+            f'"rhs":"{rhs}","all_equal":{verdict},'
+            f'"time_direct_us":{self.time_direct_us},"time_residue_us":{self.time_residue_us},'
+            f'"time_product_us":{self.time_product_us},"time_rhs_us":{self.time_rhs_us},'
+            f'"direct_terms":{self.direct_terms},"residue_ops":{self.residue_ops},'
+            f'"product_ops":{self.product_ops}'
+        )
+
+
+class _PolyRecord(NamedTuple):
+    """A ``verify --poly-gamma`` record: the report's fields, then the
+    certificate in gamma coordinate ``poly_gamma``, as ``verify_poly_gamma``
+    returns it."""
+
+    report: VerificationReport
+    poly_gamma: int
+    lhs: Poly
+    rhs: Poly
+    poly_equal: bool
+
+    @property
+    def all_equal(self) -> bool:
+        """The record's verdict: the routes agree and so do the two
+        polynomials."""
+        return self.report.all_equal and self.poly_equal
+
+    def _poly_strings(self) -> tuple[list[str], list[str]]:
+        lhs = [str(c) for c in self.lhs.coeffs]
+        # when the sides agree they are one polynomial, spelled once
+        return lhs, (lhs if self.rhs is self.lhs else [str(c) for c in self.rhs.coeffs])
+
+    def to_json_dict(self) -> dict:
+        """The report's record with the four certificate fields appended."""
+        lhs, rhs = self._poly_strings()
+        record = self.report.to_json_dict()
+        record["poly_gamma"] = self.poly_gamma
+        record["lhs_poly"] = lhs
+        record["rhs_poly"] = rhs
+        record["poly_equal"] = self.poly_equal
+        return record
+
+    def to_json_line(self) -> str:
+        """``to_json_dict()`` in compact JSON: the report's fields, then the
+        certificate's."""
+        lhs, rhs = self._poly_strings()
+        lhs_json = _json_strings(lhs)
+        rhs_json = lhs_json if rhs is lhs else _json_strings(rhs)
+        verdict = "true" if self.poly_equal else "false"
+        return (
+            f'{{{self.report._json_fields()},"poly_gamma":{self.poly_gamma},'
+            f'"lhs_poly":{lhs_json},"rhs_poly":{rhs_json},"poly_equal":{verdict}}}'
+        )
+
+
+def _json_strings(strings: Sequence[str]) -> str:
+    """Strings that need no escaping as a compact JSON array."""
+    return '["' + '","'.join(strings) + '"]' if strings else "[]"
 
 
 def verify(inst: IdentityInstance) -> VerificationReport:

@@ -12,6 +12,8 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -20,7 +22,9 @@ except ModuleNotFoundError:
 
 import coeffident.cli
 import coeffident.identity as identity
+from coeffident.algebra import Poly
 from coeffident.cli import CliConfig, UsageError, main, parse_config
+from coeffident.identity import _PolyRecord
 
 
 def run_lines(capsys, argv):
@@ -634,6 +638,96 @@ def test_csv_rows_are_the_json_records(capsys, argv):
                 assert cell.isdigit()
             else:
                 assert cell == csv_cell(key, record[key]), key
+
+
+# --- record lines -------------------------------------------------------------------------
+#
+# verify and sweep write each record's JSON line straight from the report;
+# the line must be the compact json.dumps of the record's dict, which CSV
+# output and library callers read.
+
+
+def dumped(record):
+    return json.dumps(record.to_json_dict(), separators=(",", ":"))
+
+
+# negative and multi-digit rationals, and integers
+RATIONALS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def instances(draw):
+    s = draw(st.integers(0, 3))
+    d = draw(st.integers(0, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, 2 * s + 1), min_size=d, max_size=d)))
+    alpha = tuple(b - a for a, b in zip((0, *cuts), (*cuts, 2 * s + 1)))
+    gamma = draw(st.lists(RATIONALS, min_size=d + 1, max_size=d + 1))
+    return identity.IdentityInstance(s, alpha, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.lists(RATIONALS, min_size=4, max_size=4, unique=True), st.data())
+def test_the_line_is_the_dict(inst, values, data):
+    report = identity.verify(inst)
+    assert report.all_equal
+    # an agreeing report spells its one value once
+    direct, res, prod, rhs, _ = report._strings()
+    assert direct is res is prod is rhs
+    assert report.to_json_line() == dumped(report)
+    # a disagreeing report, with four distinct values
+    sides = ("lhs_direct", "lhs_residue", "lhs_product", "rhs")
+    wrong = report._replace(**dict(zip(sides, values)), all_equal=False)
+    assert len({wrong.to_json_dict()[side] for side in sides}) == 4
+    assert wrong.to_json_line() == dumped(wrong)
+    # --poly-gamma records, with the certificate holding and failing
+    coordinate = data.draw(st.integers(0, inst.d))
+    lhs, rhs_poly, equal = identity.verify_poly_gamma(inst, coordinate)
+    assert equal and rhs_poly is lhs
+    holding = _PolyRecord(report, coordinate, lhs, rhs_poly, equal)
+    other = Poly(data.draw(st.lists(RATIONALS, max_size=4)))
+    for record in (holding, _PolyRecord(wrong, coordinate, lhs, other, False)):
+        assert record.to_json_line() == dumped(record)
+    assert holding.all_equal and not holding._replace(poly_equal=False).all_equal
+
+
+def test_the_zero_polynomial_is_an_empty_list(capsys):
+    # at gamma_0 = -1 the left side vanishes for every gamma_1
+    argv = ["verify", "--s", "1", "--alpha", "1,2", "--gamma=-1,0", "--poly-gamma", "1"]
+    code, lines, _ = run_lines(capsys, argv)
+    assert code == 0
+    assert lines[0].endswith(',"poly_gamma":1,"lhs_poly":[],"rhs_poly":[],"poly_equal":true}')
+    record = json.loads(lines[0])
+    assert record["lhs_direct"] == record["rhs"] == "0"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_disagreeing_sweep_exits_1(capsys, monkeypatch, fmt):
+    # one instance of the grid gets a wrong residue route; its record shows
+    # each side's own value, and the sweep's exit status is 1
+    real = identity._lhs_residue_pair
+    target = identity.IdentityInstance(1, (1, 2), (F(0), F(1)))
+
+    def one_wrong(inst):
+        num, den = real(inst)
+        return (num + den, den) if inst == target else (num, den)
+
+    monkeypatch.setattr(identity, "_lhs_residue_pair", one_wrong)
+    argv = ["sweep", "--max-s", "1", "--max-d", "1", "--gamma-set", "0,1", "--jobs", "1"]
+    code, lines, _ = run_lines(capsys, argv + ["--format", fmt])
+    assert code == 1
+    if fmt == "json":
+        records = [json.loads(line) for line in lines]
+    else:
+        header, *rows = csv.reader(io.StringIO("\n".join(lines)))
+        records = [dict(zip(header, row)) for row in rows]
+    failed = [r for r in records if r["all_equal"] in (False, "false")]
+    assert len(records) > 1 and len(failed) == 1
+    (record,) = failed
+    where = {"json": ([1, 2], ["0", "1"]), "csv": ("1,2", "0,1")}[fmt]
+    assert (record["alpha"], record["gamma"]) == where
+    right = identity.rhs_closed(target)
+    assert record["lhs_direct"] == record["lhs_product"] == record["rhs"] == str(right)
+    assert record["lhs_residue"] == str(right + 1)
 
 
 # --- golden output ----------------------------------------------------------------------------
