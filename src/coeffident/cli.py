@@ -247,7 +247,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...], Callable[[CliConfig], Iterabl
                 "alpha_value",
                 low=0,
                 help="derivative order alpha >= 0; the table costs about "
-                "alpha^3 operations to build (over 10 s at alpha = 400)",
+                "alpha^3 operations to build",
             ),
             _FORMAT,
         ),
@@ -384,25 +384,21 @@ def _cell(key: str, value) -> str:
 
 def _emit(out: IO[str], fmt: str, records: Iterable[_Record]) -> int:
     """Write records one per line: compact JSON, or CSV under a header of
-    the first record's keys.  A report writes its own JSON line; a table
-    command's dict is encoded by ``json``, imported for it alone, so that
-    ``verify`` and ``sweep`` never load it.  Returns the exit status: 1 if
-    some report's ``all_equal`` is false (a route disagreed, or a
+    the first record's keys.  A report writes its own JSON line, and its
+    CSV row is its ``to_json_dict()``; a table command's dict goes through
+    plain ``json.dumps``, with ``json`` imported there, so that ``verify``
+    and ``sweep`` never load it.  Returns the exit status: 1 if some
+    report's ``all_equal`` is false (a route disagreed, or a
     ``--poly-gamma`` certificate failed), else 0."""
     ok = True
-    writer = encode = None
+    writer = None
     for record in records:
         if isinstance(record, dict):  # lemma2, lemma3, jseries: no verdict
             row = record
             if fmt == "json":
-                if encode is None:
-                    import json
+                import json
 
-                    # compact, and one encoder for the whole run: json.dumps
-                    # with non-default separators builds one per call.  The
-                    # records are flat, so there is no cycle to check for.
-                    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-                out.write(encode(record) + "\n")
+                out.write(json.dumps(record, separators=(",", ":")) + "\n")
                 continue
         else:
             if not record.all_equal:

@@ -302,9 +302,11 @@ def test_verify_poly_gamma_index_checked_before_any_route(capsys, monkeypatch):
     assert err == "error: --poly-gamma=5 outside 0..1\n"
 
 
-def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch, fmt):
     # one wrong node value, at a gamma the scalar routes never pin, must
-    # flip poly_equal and the exit status while all_equal stays true
+    # flip poly_equal and the exit status while all_equal stays true, in
+    # the JSON line and in the CSV row alike
     real = identity._lhs_at_nodes
 
     def one_wrong_node(*args):
@@ -313,14 +315,17 @@ def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch):
         return nums, den
 
     monkeypatch.setattr(identity, "_lhs_at_nodes", one_wrong_node)
-    code, lines, _ = run_lines(
-        capsys,
-        ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2", "--poly-gamma", "1"],
-    )
+    argv = ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,1/2", "--poly-gamma", "1"]
+    code, lines, _ = run_lines(capsys, argv + ["--format", fmt])
     assert code == 1
-    record = json.loads(lines[0])
-    assert record["all_equal"] is True
-    assert record["poly_equal"] is False
+    if fmt == "json":
+        (record,) = [json.loads(line) for line in lines]
+        verdicts = (True, False)
+    else:
+        header, row = csv.reader(io.StringIO("\n".join(lines)))
+        record = dict(zip(header, row))
+        verdicts = ("true", "false")
+    assert (record["all_equal"], record["poly_equal"]) == verdicts
     assert record["lhs_poly"] != record["rhs_poly"]
 
 
