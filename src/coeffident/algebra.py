@@ -9,13 +9,11 @@ which certifies an identity as a *polynomial* identity rather than a
 numerical coincidence.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 __all__ = [
     "as_rational",
@@ -24,7 +22,7 @@ __all__ = [
     "Poly",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _RATIONAL_PATTERN = re.compile(r"^-?\d+(?:/\d+)?$", re.ASCII)
 

@@ -17,8 +17,6 @@ Exit status: 0 everything verified (or purely informational output),
 before it was all written (128 + SIGPIPE, as a shell reports it).
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys
@@ -58,12 +56,8 @@ class UsageError(ValueError):
 
 
 class _HelpRequested(Exception):
-    """-h or --help: ``main`` prints the help page of ``subcommand`` (None
-    for the program's own page) and exits 0."""
-
-    def __init__(self, subcommand: str | None) -> None:
-        super().__init__(subcommand)
-        self.subcommand = subcommand
+    """-h or --help: ``main`` prints the help page of the subcommand in
+    ``args`` (None for the program's own page) and exits 0."""
 
 
 class CliConfig(NamedTuple):
@@ -433,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(parse_config(sys.argv[1:] if argv is None else argv))
     except _HelpRequested as request:
-        print(_help(request.subcommand))
+        print(_help(*request.args))
         return 0
     except UsageError as exc:
         if exc.usage is not None:

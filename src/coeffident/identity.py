@@ -29,8 +29,6 @@ tolerances -- on every valid instance.  ``verify`` decides it on integer
 (numerator, denominator) pairs by cross-multiplication.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math
@@ -111,7 +109,7 @@ class IdentityInstance(_InstanceFields):
     ``_checked_instance``.
     """
 
-    def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> IdentityInstance:
+    def __new__(cls, s: int, alpha: Sequence[int], gamma: Sequence) -> "IdentityInstance":
         alpha = _refuse_text(alpha, "alpha")
         try:
             s = _count(s, "s")
@@ -140,7 +138,7 @@ class IdentityInstance(_InstanceFields):
         return type(self), tuple(self)
 
     @classmethod
-    def _make(cls, iterable) -> IdentityInstance:
+    def _make(cls, iterable) -> "IdentityInstance":
         return cls(*iterable)
 
     @property
@@ -165,9 +163,9 @@ def _checked_instance(
     """
     self = tuple.__new__(cls, (s, alpha, gamma))
     # the top d + sum(alpha) + sum(gamma), sum(alpha) = 2s+1, as num/den,
-    # den the gammas' least common denominator, in one pass (on CPython
-    # 3.11 math.lcm and sum over comprehensions cost 1 us more); one gcd
-    # at the end
+    # den the gammas' least common denominator, in one pass rather than
+    # math.lcm and sum over comprehensions, which cost more; one gcd at
+    # the end
     num, den = len(alpha) + 2 * s, 1
     coords = []
     for a, (p, q) in zip(alpha, pairs):

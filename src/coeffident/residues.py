@@ -30,8 +30,6 @@ polynomial is palindromic with sign (-1)**(k-1), killing the middle
 coefficient only when that sign is -1).
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from fractions import Fraction

@@ -17,8 +17,6 @@ lists that the series product, the residue route and the polynomial
 certification share.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

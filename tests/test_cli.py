@@ -695,13 +695,19 @@ def test_the_line_is_the_dict(inst, values, data):
     assert holding.all_equal and not holding._replace(poly_equal=False).all_equal
 
 
-def test_the_zero_polynomial_is_an_empty_list(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_zero_polynomial_is_an_empty_list(capsys, fmt):
     # at gamma_0 = -1 the left side vanishes for every gamma_1
     argv = ["verify", "--s", "1", "--alpha", "1,2", "--gamma=-1,0", "--poly-gamma", "1"]
-    code, lines, _ = run_lines(capsys, argv)
+    code, lines, _ = run_lines(capsys, argv + ["--format", fmt])
     assert code == 0
-    assert lines[0].endswith(',"poly_gamma":1,"lhs_poly":[],"rhs_poly":[],"poly_equal":true}')
-    record = json.loads(lines[0])
+    if fmt == "json":
+        assert lines[0].endswith(',"poly_gamma":1,"lhs_poly":[],"rhs_poly":[],"poly_equal":true}')
+        record = json.loads(lines[0])
+    else:
+        header, row = csv.reader(io.StringIO("\n".join(lines)))
+        record = dict(zip(header, row))
+        assert (record["lhs_poly"], record["rhs_poly"], record["poly_equal"]) == ("", "", "true")
     assert record["lhs_direct"] == record["rhs"] == "0"
 
 

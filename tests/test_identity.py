@@ -902,6 +902,33 @@ def test_verify_report_metadata():
     assert sum(times) <= wall_us
 
 
+@pytest.mark.parametrize(
+    "route, field",
+    [
+        ("_lhs_direct_counted", "time_direct_us"),
+        ("_lhs_residue_pair", "time_residue_us"),
+        ("_lhs_product_pair", "time_product_us"),
+        ("_rhs_closed_pair", "time_rhs_us"),
+    ],
+)
+def test_each_time_field_times_its_own_route(monkeypatch, route, field):
+    # one route made slow by a sleep: only its own field sees the sleep
+    sleep_us = 50_000
+    real = getattr(identity, route)
+
+    def slow(inst):
+        time.sleep(sleep_us / 1e6)
+        return real(inst)
+
+    monkeypatch.setattr(identity, route, slow)
+    report = verify(SPOT)
+    assert report.all_equal
+    fields = report._asdict()
+    assert fields[field] >= sleep_us
+    others = {"time_direct_us", "time_residue_us", "time_product_us", "time_rhs_us"} - {field}
+    assert all(fields[other] < sleep_us for other in others)
+
+
 def test_bench_instance_counters():
     # the per-route cost counters a CSV sweep reports, one instance per (s, d)
     for s, d in [(0, 0), (1, 1), (2, 2), (3, 1)]:
