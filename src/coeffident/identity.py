@@ -39,13 +39,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Poly, _count, _refuse_text, as_rational
-from .residues import (
-    DerivativeTable,
-    _w_residue_numerators,
-    base_t_residue,
-    correction_t_residue,
-    derivative_table,
-)
+from .residues import DerivativeTable, _t_residue, _w_residue_numerators, derivative_table
 from .series import _OPS, _binomial_numerators, _convolve
 
 __all__ = [
@@ -100,12 +94,13 @@ class IdentityInstance(_InstanceFields):
     Construction also computes, once, the integers the routes read: each
     coordinate's triple (alpha_i, p_i, q_i), gamma_i = p_i/q_i in lowest
     terms, and the binomial top d + sum(alpha) + sum(gamma) as a
-    lowest-terms pair.  The triples key the routes' caches, so the
-    instances of a grid that share their first d coordinates share the
-    routes' work on them.  They are no fields, so equality, hashing and
-    pickling see only s, alpha and gamma: ``pickle`` and ``copy`` rebuild
-    an instance through the constructor.  The constructor and
-    ``iter_instances`` share the triples' one producer,
+    lowest-terms pair; and the ``str`` of each gamma, which the records
+    spell.  The grid's instances share their triples before the last with
+    their run (``iter_instances``), and a serial ``sweep`` does the
+    routes' work on them once per run.  They are no fields, so equality,
+    hashing and pickling see only s, alpha and gamma: ``pickle`` and
+    ``copy`` rebuild an instance through the constructor.  The
+    constructor and ``iter_instances`` share the triples' one producer,
     ``_checked_instance``.
     """
 
@@ -130,8 +125,15 @@ class IdentityInstance(_InstanceFields):
             raise InvalidInstance(
                 f"sum(alpha) = {total} but the hypothesis needs 2s+1 = {2 * s + 1}"
             )
+        pairs = [(g.numerator, g.denominator) for g in gamma]
         return _checked_instance(
-            cls, s, alpha, gamma, [(g.numerator, g.denominator) for g in gamma]
+            cls,
+            s,
+            alpha,
+            gamma,
+            tuple(map(str, gamma)),
+            _head_part(s, alpha, pairs[:-1]),
+            pairs[-1],
         )
 
     def __reduce__(self):
@@ -153,19 +155,17 @@ class IdentityInstance(_InstanceFields):
         return Fraction(*self._top_pair)
 
 
-def _checked_instance(
-    cls: type, s: int, alpha: tuple[int, ...], gamma: tuple[Fraction, ...], pairs
-) -> IdentityInstance:
-    """The instance of fields that already passed the constructor's checks,
-    with ``pairs`` the gammas' (numerator, denominator) pairs in order:
-    the one producer of the coordinate triples and the top's pair, which
-    ``IdentityInstance`` and ``iter_instances`` both call.
+def _head_part(
+    s: int, alpha: tuple[int, ...], pairs
+) -> tuple[tuple[tuple[int, int, int], ...], int, int]:
+    """The part of an instance that its coordinates before the last fix,
+    with ``pairs`` those coordinates' gamma (numerator, denominator)
+    pairs: their triples, and the top d + sum(alpha) + sum(gamma) without
+    the last gamma, as a numerator over the least common denominator of
+    their gammas (not reduced).  ``_checked_instance`` closes it.
     """
-    self = tuple.__new__(cls, (s, alpha, gamma))
-    # the top d + sum(alpha) + sum(gamma), sum(alpha) = 2s+1, as num/den,
-    # den the gammas' least common denominator, in one pass rather than
-    # math.lcm and sum over comprehensions, which cost more; one gcd at
-    # the end
+    # sum(alpha) = 2s+1; one pass rather than math.lcm and sum over
+    # comprehensions, which cost more
     num, den = len(alpha) + 2 * s, 1
     coords = []
     for a, (p, q) in zip(alpha, pairs):
@@ -175,9 +175,37 @@ def _checked_instance(
             num *= lcm // den
             den = lcm
         num += p * (den // q)
-    common = math.gcd(num, den)
-    self._coords = tuple(coords)
+    return tuple(coords), num, den
+
+
+def _checked_instance(
+    cls: type,
+    s: int,
+    alpha: tuple[int, ...],
+    gamma: tuple[Fraction, ...],
+    strings: tuple[str, ...],
+    head: tuple[tuple[tuple[int, int, int], ...], int, int],
+    last: tuple[int, int],
+) -> IdentityInstance:
+    """The instance of fields that already passed the constructor's checks,
+    with ``strings`` the gammas' ``str``, ``head`` the ``_head_part`` of
+    its coordinates before the last, and ``last`` the last gamma's
+    (numerator, denominator): the one producer of the coordinate triples
+    and the top's pair, which ``IdentityInstance`` and ``iter_instances``
+    both call.
+    """
+    self = tuple.__new__(cls, (s, alpha, gamma))
+    coords, num, den = head
+    p, q = last
+    if den % q:
+        lcm = math.lcm(den, q)
+        num *= lcm // den
+        den = lcm
+    num += p * (den // q)
+    common = math.gcd(num, den)  # one gcd, at the end
+    self._coords = coords + ((alpha[-1], p, q),)
     self._top_pair = (num // common, den // common)
+    self._gamma_strings = strings
     return self
 
 
@@ -244,9 +272,11 @@ def _head_sums(
     adds each full composition to the sum of its budget u, and its
     s + 1 - u closing parts to the count: every composition is visited
     exactly once, and none is kept.  With no parts, the one empty
-    composition has budget 0 and product 1.  The routes key it by an
-    instance's coordinates before the last, so the instances of a grid
-    that differ only in the last coordinate share one walk.
+    composition has budget 0 and product 1.  The direct route asks for it
+    at an instance's coordinates before the last, once per run of a
+    serial ``sweep``; the cache serves ``verify --poly-gamma``, whose
+    ``_lhs_at_nodes`` asks for the same key as ``verify`` when the
+    certified coordinate is the last.
     """
     tables, den = [], 1
     for a, p, q in heads:
@@ -268,28 +298,31 @@ def _head_sums(
     return tuple(sums), terms, den
 
 
-def _direct_sums(inst: IdentityInstance) -> tuple[list[int], int, int]:
+def _direct_sums(
+    inst: IdentityInstance, head: tuple[tuple[int, ...], int, int] | None = None
+) -> tuple[list[int], int, int]:
     """For every m = 0..s, the sum over the compositions of m into d+1
     parts of the factor products, as integer numerators over one positive
     denominator (not reduced); and the number of compositions summed,
     over all m together.
 
-    The sums over the coordinates before the last (``_head_sums``, cached
-    by their triples) are closed by the last coordinate's table: the head
-    sum at budget u adds head[u] * last[m - u] to the sum of every
-    m >= u, in a loop of its own, so that this route shares no code with
-    the residue route's ``_convolve``.  That is the composition sum
-    grouped by its last part; the count is the one the head walk took
-    with the closing parts, whether its cache entry was warm or cold.
+    The sums over the coordinates before the last (``head``, the
+    ``_head_sums`` of their triples, walked here if not given) are closed
+    by the last coordinate's table: the head sum at budget u adds
+    head[u] * last[m - u] to the sum of every m >= u, in a loop of its
+    own, so that this route shares no code with the residue route's
+    ``_convolve``.  That is the composition sum grouped by its last part;
+    the count is the one the head walk took with the closing parts,
+    whoever walked it.
     """
     s, coords = inst.s, inst._coords
-    heads, terms, den = _head_sums(s, coords[:-1])
+    heads, terms, den = _head_sums(s, coords[:-1]) if head is None else head
     last, last_den = _coordinate_factors(*coords[-1], s)
     sums = [0] * (s + 1)
-    for u, head in enumerate(heads):
-        if head:
+    for u, head_sum in enumerate(heads):
+        if head_sum:
             for m in range(u, s + 1):
-                sums[m] += head * last[m - u]
+                sums[m] += head_sum * last[m - u]
     return sums, den * last_den, terms
 
 
@@ -319,10 +352,13 @@ def inner_sum(inst: IdentityInstance, j: int) -> Fraction:
     return Fraction(sums[inst.s - j], den)
 
 
-def _lhs_direct_counted(inst: IdentityInstance) -> tuple[tuple[int, int], int]:
+def _lhs_direct_counted(
+    inst: IdentityInstance, head: tuple[tuple[int, ...], int, int] | None = None
+) -> tuple[tuple[int, int], int]:
     """The direct left side as an integer numerator and positive
-    denominator (not reduced), and the number of compositions summed."""
-    sums, den, terms = _direct_sums(inst)
+    denominator (not reduced), and the number of compositions summed;
+    ``head`` as ``_direct_sums`` takes it."""
+    sums, den, terms = _direct_sums(inst, head)
     # the alternating j-sum: S_j is sums[s - j]
     weights, scale = _falling_weights(*inst._top_pair, inst.s)
     return (sum(map(operator.mul, weights, reversed(sums))), scale * den), terms
@@ -337,26 +373,27 @@ def lhs_direct(inst: IdentityInstance) -> Fraction:
 # residue route
 
 
-@lru_cache(maxsize=256)
 def _head_series(
-    s: int, heads: tuple[tuple[int, int, int], ...]
-) -> tuple[tuple[int, ...], int]:
+    s: int, heads: Sequence[tuple[int, int, int]]
+) -> tuple[Sequence[int], int]:
     """The product, truncated at t**s, of the w-residue series of the
     coordinate triples ``heads`` (``_w_residue_numerators``), as integer
     numerators over the product of their denominators; with no heads, the
-    series 1.  The residue route keys it by an instance's coordinates
-    before the last, as the direct route keys ``_head_sums``.  Counts no
-    ops; the route charges them.
+    series 1.  The residue route takes it at an instance's coordinates
+    before the last, once per run of a serial ``sweep``, so it keeps no
+    cache.  Counts no ops; the route charges them.
     """
     acc, den = (1,), 1
     for a, p, q in heads:
         nums, w_den = _w_residue_numerators(a, p, q, s)
         acc = _convolve(acc, nums, s)
         den *= w_den
-    return tuple(acc), den
+    return acc, den
 
 
-def _lhs_residue_pair(inst: IdentityInstance) -> tuple[int, int]:
+def _lhs_residue_pair(
+    inst: IdentityInstance, head: tuple[Sequence[int], int] | None = None
+) -> tuple[int, int]:
     """Left side as one coefficient extraction, as an integer numerator
     and positive denominator (not reduced).
 
@@ -365,17 +402,17 @@ def _lhs_residue_pair(inst: IdentityInstance) -> tuple[int, int]:
     the composition sum implicitly.  The factors are the integer
     numerators of ``binomial_series`` and ``w_residue_series`` (their
     int-keyed kernels, read directly).  The product of the coordinates
-    before the last comes from ``_head_series``; ``_convolve`` takes its
-    truncated product with the last coordinate's series, and the
-    coefficient of t**s of that times (1-t)**top is one dot product with
-    the reversed numerators of the top's series.  The denominators
-    multiply.  The ops charged are the ones those kernels and
-    ``TSeries`` multiplication charge, whether the head was cached or
-    not: 2s for the binomial series, (s+1)(alpha_i+4) per coordinate
-    series and (s+1)(s+2)/2 per product.
+    before the last is ``head``, their ``_head_series``, multiplied here
+    if not given; ``_convolve`` takes its truncated product with the last
+    coordinate's series, and the coefficient of t**s of that times
+    (1-t)**top is one dot product with the reversed numerators of the
+    top's series.  The denominators multiply.  The ops charged are the
+    ones those kernels and ``TSeries`` multiplication charge, whoever
+    multiplied the head: 2s for the binomial series, (s+1)(alpha_i+4)
+    per coordinate series and (s+1)(s+2)/2 per product.
     """
     s, coords = inst.s, inst._coords
-    head, den = _head_series(s, coords[:-1])
+    head, den = _head_series(s, coords[:-1]) if head is None else head
     last, w_den = _w_residue_numerators(*coords[-1], s)
     top, top_den = _binomial_numerators(-1, 1, *inst._top_pair, s)
     acc = _convolve(head, last, s)
@@ -487,7 +524,10 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
     Horner's scheme in ints, and the binomial prefactors are the integer
     rising products of the same table's row 0 (``_correction_numerators``);
     the invariants are checked, and the sum of the weighted residues is
-    taken, on integer numerators.
+    taken, on integer numerators.  The residues come from the kernel of
+    ``base_t_residue`` and ``correction_t_residue``, ``_t_residue``, read
+    directly, since the invariants already bound k; the ops charged are
+    theirs, 4s + (s+1)(s+2)/2 per residue.
     """
     nums, den, (lead_num, lead_den) = _correction_numerators(inst)
     degree = len(nums) - 1
@@ -505,10 +545,13 @@ def _lhs_product_pair(inst: IdentityInstance) -> tuple[int, int]:
         raise CorrectionInvariantError(
             f"correction polynomial has nonzero odd powers of u: {odd}"
         )
-    total = den * base_t_residue(inst.s)
+    s = inst.s
+    total, extractions = den * _t_residue(-1, 2 * s + 1, s), 1
     for k in range(2, degree + 1, 2):
         if nums[k]:
-            total += nums[k] * correction_t_residue(inst.s, k)
+            total += nums[k] * _t_residue(k - 1, 2 * s - k + 1, s)
+            extractions += 1
+    _OPS.count += extractions * (4 * s + (s + 1) * (s + 2) // 2)
     return total * lead_num, den * lead_den
 
 
@@ -541,13 +584,20 @@ def _binomial_product(
     return num, den
 
 
-def _rhs_closed_pair(inst: IdentityInstance) -> tuple[int, int]:
+def _rhs_closed_pair(
+    inst: IdentityInstance, head: tuple[int, int] | None = None
+) -> tuple[int, int]:
     """Right side: 4**s times the product of C(alpha_i + gamma_i, alpha_i),
     as an integer numerator and positive denominator (not reduced).  It
     reads the gamma Fractions itself, not the instance's integer pairs,
-    which the routes read."""
-    num, den = _binomial_product(inst.alpha, inst.gamma)
-    return 4**inst.s * num, den
+    which the routes read.  ``head`` is the ``_binomial_product`` of the
+    coordinates before the last, taken here if not given; the last
+    coordinate's binomial closes it."""
+    alpha, gamma = inst.alpha, inst.gamma
+    num, den = _binomial_product(alpha[:-1], gamma[:-1]) if head is None else head
+    last = gamma[-1]
+    n, d = _rising_product(alpha[-1], last.numerator, last.denominator)
+    return 4**inst.s * num * n, den * d
 
 
 def rhs_closed(inst: IdentityInstance) -> Fraction:
@@ -582,16 +632,17 @@ class VerificationReport(NamedTuple):
     residue_ops: int
     product_ops: int
 
-    def _strings(self) -> tuple[str, str, str, str, list[str]]:
+    def _strings(self) -> tuple[str, str, str, str, tuple[str, ...]]:
         """The four values' and the gamma coordinates' ``str``, as both
         record forms spell them.  A value that is the same object as the one
         before it is spelled once, so an agreeing report, whose four values
-        are one Fraction, makes one string."""
+        are one Fraction, makes one string; the gammas' are the instance's,
+        made with it."""
         direct = str(self.lhs_direct)
         res = direct if self.lhs_residue is self.lhs_direct else str(self.lhs_residue)
         prod = res if self.lhs_product is self.lhs_residue else str(self.lhs_product)
         rhs = prod if self.rhs is self.lhs_product else str(self.rhs)
-        return direct, res, prod, rhs, [str(g) for g in self.instance.gamma]
+        return direct, res, prod, rhs, self.instance._gamma_strings
 
     def to_json_dict(self) -> dict:
         """The report as a record, in field order: ``instance`` expands to
@@ -600,7 +651,7 @@ class VerificationReport(NamedTuple):
         reaches the record, and its CSV row, with no edit here."""
         inst = self.instance
         *values, gamma = self._strings()
-        record = {"s": inst.s, "d": inst.d, "alpha": list(inst.alpha), "gamma": gamma}
+        record = {"s": inst.s, "d": inst.d, "alpha": list(inst.alpha), "gamma": list(gamma)}
         record.update(zip(self._fields[1:5], values))
         record.update(zip(self._fields[5:], self[5:]))
         return record
@@ -686,17 +737,27 @@ def verify(inst: IdentityInstance) -> VerificationReport:
     right side's, fills all four value fields; otherwise each field holds
     its own side's value.
     """
+    return _verify(inst, None, None, None)
+
+
+def _verify(
+    inst: IdentityInstance, direct_head, residue_head, rhs_head
+) -> VerificationReport:
+    """``verify`` with each route's work on the coordinates before the
+    last, its head, given or None.  A serial ``sweep`` takes the heads
+    once per run and passes them in, so their time is in no record; a
+    route given None takes its head itself, inside its own time."""
     t0 = time.perf_counter_ns()
-    direct, terms = _lhs_direct_counted(inst)
+    direct, terms = _lhs_direct_counted(inst, direct_head)
     t1 = time.perf_counter_ns()
     ops0 = _OPS.count
-    res = _lhs_residue_pair(inst)
+    res = _lhs_residue_pair(inst, residue_head)
     ops1 = _OPS.count
     t2 = time.perf_counter_ns()
     prod = _lhs_product_pair(inst)
     ops2 = _OPS.count
     t3 = time.perf_counter_ns()
-    rhs = _rhs_closed_pair(inst)
+    rhs = _rhs_closed_pair(inst, rhs_head)
     t4 = time.perf_counter_ns()
     num, den = rhs
     all_equal = (
@@ -880,28 +941,68 @@ def iter_instances(
     many instances, so a capped sweep is a prefix of the uncapped one.
     The arguments are checked on the call, before any instance is drawn.
 
+    The stream is the grid's runs (``_instance_runs``) one after another:
+    the last gamma varies fastest, so the instances come in runs of
+    len(gamma_set) that share s, alpha and every gamma but the last.
     Every alpha is a composition of 2s+1 and every gamma is drawn from the
     checked set, so each instance is built without the constructor's
-    per-coordinate checks, from the gammas' integer pairs taken once per
-    gamma set; the instance is the one the constructor makes.
+    per-coordinate checks, from the gammas' integer pairs and strings
+    taken once per gamma set and its run's ``_head_part``; the instance is
+    the one the constructor makes.
     """
+    return itertools.chain.from_iterable(_instance_runs(max_s, max_d, gamma_set, cap))
+
+
+def _instance_runs(
+    max_s: int, max_d: int, gamma_set: Sequence, cap: int | None
+) -> Iterator[list[IdentityInstance]]:
+    """The grid of ``iter_instances`` as its runs, each a nonempty list of
+    the instances that differ only in the last gamma; ``cap`` may cut the
+    last run short.  The arguments are checked on the call."""
     max_s, max_d = _count(max_s, "max_s"), _count(max_d, "max_d")
     if cap is not None:
         cap = _count(cap, "cap", 1)
     gam = tuple(as_rational(g) for g in _refuse_text(gamma_set, "gamma_set"))
     if not gam:
         raise ValueError("gamma_set must be nonempty")
+    return _grid_runs(max_s, max_d, gam, cap)
+
+
+def _grid_runs(
+    max_s: int, max_d: int, gam: tuple[Fraction, ...], cap: int | None
+) -> Iterator[list[IdentityInstance]]:
+    """``_instance_runs`` of checked arguments, ``gam`` the gamma set."""
     pairs = tuple((g.numerator, g.denominator) for g in gam)
-    grid = (
-        _checked_instance(IdentityInstance, s, alpha, gamma, gamma_pairs)
-        for s in range(max_s + 1)
-        for d in range(max_d + 1)
-        for alpha in compositions(2 * s + 1, d + 1)
-        for gamma, gamma_pairs in zip(
-            itertools.product(gam, repeat=d + 1), itertools.product(pairs, repeat=d + 1)
-        )
-    )
-    return itertools.islice(grid, cap)
+    strings = tuple(map(str, gam))
+    lasts = tuple(zip(gam, pairs, strings))
+    left = cap
+    for s in range(max_s + 1):
+        for d in range(max_d + 1):
+            for alpha in compositions(2 * s + 1, d + 1):
+                for head_gamma, head_pairs, head_strings in zip(
+                    itertools.product(gam, repeat=d),
+                    itertools.product(pairs, repeat=d),
+                    itertools.product(strings, repeat=d),
+                ):
+                    head = _head_part(s, alpha, head_pairs)
+                    run = [
+                        _checked_instance(
+                            IdentityInstance,
+                            s,
+                            alpha,
+                            head_gamma + (g,),
+                            head_strings + (text,),
+                            head,
+                            pair,
+                        )
+                        for g, pair, text in lasts
+                    ]
+                    if left is not None:
+                        if left <= len(run):
+                            yield run[:left]
+                            return
+                        left -= len(run)
+                    yield run
 
 
 def sweep(
@@ -913,19 +1014,39 @@ def sweep(
 ) -> Iterator[VerificationReport]:
     """``verify`` over the instance grid, in enumeration order.
 
+    Serially, the grid is verified run by run (``iter_instances``): each
+    route takes its work on the run's coordinates before the last, its
+    head, once, with its own code, and closes it against each instance's
+    last coordinate; the product route, which keeps no head, works per
+    instance.  Every report is the one ``verify`` makes of its instance,
+    apart from the times, since a run's heads are timed in no report.
+
     With jobs > 1 the instances go to worker processes in chunks of 32,
-    and the reports come back chunk by chunk in submission order, so the
-    output stream is identical to the serial one.  The pool starts when
-    the first report is drawn, and at most 2 * jobs chunks are in flight:
-    a chunk is drawn from the grid only after the oldest one's reports
-    have been taken, so a reader that stalls stops the sweep, as a
-    blocked write stops a serial one.  ``jobs`` is checked on the call.
+    each verified alone, and the reports come back chunk by chunk in
+    submission order, so the output stream is identical to the serial
+    one.  The pool starts when the first report is drawn, and at most
+    2 * jobs chunks are in flight: a chunk is drawn from the grid only
+    after the oldest one's reports have been taken, so a reader that
+    stalls stops the sweep, as a blocked write stops a serial one.  The
+    arguments are checked on the call.
     """
     jobs = _count(jobs, "jobs", 1, MAX_JOBS)
-    instances = iter_instances(max_s, max_d, gamma_set, cap)
     if jobs == 1:
-        return map(verify, instances)
-    return _pooled_reports(instances, jobs)
+        return _serial_reports(_instance_runs(max_s, max_d, gamma_set, cap))
+    return _pooled_reports(iter_instances(max_s, max_d, gamma_set, cap), jobs)
+
+
+def _serial_reports(
+    runs: Iterator[list[IdentityInstance]],
+) -> Iterator[VerificationReport]:
+    for run in runs:
+        first = run[0]
+        s, heads = first.s, first._coords[:-1]
+        direct_head = _head_sums(s, heads)
+        residue_head = _head_series(s, heads)
+        rhs_head = _binomial_product(first.alpha[:-1], first.gamma[:-1])
+        for inst in run:
+            yield _verify(inst, direct_head, residue_head, rhs_head)
 
 
 def _pooled_reports(

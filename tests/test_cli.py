@@ -332,7 +332,7 @@ def test_verify_poly_gamma_mismatch_exits_1(capsys, monkeypatch, fmt):
 def test_verify_detects_route_mismatch(capsys, monkeypatch):
     # force a wrong right side, in the pair form that verify calls; the
     # exit code must flip to 1
-    monkeypatch.setattr(identity, "_rhs_closed_pair", lambda inst: (-1, 1))
+    monkeypatch.setattr(identity, "_rhs_closed_pair", lambda inst, head: (-1, 1))
     code, lines, _ = run_lines(
         capsys, ["verify", "--s", "1", "--alpha", "1,2", "--gamma", "0,0"]
     )
@@ -346,8 +346,8 @@ def test_disagreeing_record_prints_each_side(capsys, monkeypatch):
     # When the sides disagree, each value field is that side's own value,
     # reduced, where an agreeing record prints one value four times.
     def returning(real, pair):
-        def route(inst):
-            real(inst)  # still run, so that the op counts are the real ones
+        def route(inst, *head):
+            real(inst, *head)  # still run, so that the op counts are the real ones
             return pair
 
         return route
@@ -718,8 +718,8 @@ def test_a_disagreeing_sweep_exits_1(capsys, monkeypatch, fmt):
     real = identity._lhs_residue_pair
     target = identity.IdentityInstance(1, (1, 2), (F(0), F(1)))
 
-    def one_wrong(inst):
-        num, den = real(inst)
+    def one_wrong(inst, head):
+        num, den = real(inst, head)
         return (num + den, den) if inst == target else (num, den)
 
     monkeypatch.setattr(identity, "_lhs_residue_pair", one_wrong)

@@ -136,7 +136,8 @@ def test_instance_top_is_the_binomial_top():
     # q_i) and a lowest-terms pair; the routes read them, and .top is made
     # from the stored pair
     coords = ((1, 1, 2), (3, 0, 1), (1, -7, 3))
-    assert vars(inst) == {"_coords": coords, "_top_pair": (31, 6)}
+    strings = ("1/2", "0", "-7/3")
+    assert vars(inst) == {"_coords": coords, "_top_pair": (31, 6), "_gamma_strings": strings}
     stale = IdentityInstance(*inst)
     stale._top_pair = (5, 7)
     assert stale.top == F(5, 7)
@@ -144,7 +145,7 @@ def test_instance_top_is_the_binomial_top():
     assert stale == inst and hash(stale) == hash(inst)
     single = IdentityInstance(s=0, alpha=(1,), gamma=(0,))
     assert single.top == 1 and type(single.top) is F
-    assert vars(single) == {"_coords": ((1, 0, 1),), "_top_pair": (1, 1)}
+    assert vars(single) == {"_coords": ((1, 0, 1),), "_top_pair": (1, 1), "_gamma_strings": ("0",)}
 
 
 @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9), min_size=1, max_size=4))
@@ -181,7 +182,8 @@ def test_records_survive_pickling():
     # a replaced gamma gets its own triples, not the old ones
     moved = inst._replace(gamma=(F(1, 2), 1, F(-7, 3)))
     coords = ((1, 1, 2), (3, 1, 1), (1, -7, 3))
-    assert vars(moved) == {"_coords": coords, "_top_pair": (37, 6)}
+    strings = ("1/2", "1", "-7/3")
+    assert vars(moved) == {"_coords": coords, "_top_pair": (37, 6), "_gamma_strings": strings}
     assert pickle.loads(pickle.dumps(report)) == report
 
 
@@ -310,19 +312,18 @@ def clear_caches():
 
 
 # Every cache in the package, with one key of it and its hit-ratio floor
-# on the capped acceptance grid (None: a cache that grid does not reach).
+# on the serial sweep of the capped acceptance grid (None: a cache that
+# sweep never hits; its floor is taken on --poly-gamma traffic below).
 # Each is a plain lru_cache on a kernel that counts no ops, keyed by ints,
 # except the product route's factors, which are keyed by the derivative
-# table that the route looked up and ints.  On that grid from cold caches
-# the per-coordinate and scalar caches hit on 99.1-99.96% of lookups, and
-# the head caches on 75%: iter_instances varies the last gamma fastest,
-# so three instances in four share their coordinates before the last
-# with the one before.
+# table that the route looked up and ints.  On that sweep from cold
+# caches the per-coordinate and scalar caches hit on 99.1-99.94% of
+# lookups.  The sweep asks for each head's sums once, for its run of
+# instances that differ only in the last gamma, so they never hit there.
 PACKAGE_CACHES = {
     identity._coordinate_factors: ((3, 1, 2, 4), 0.95),
-    identity._head_sums: ((3, ((2, 1, 2), (1, -2, 3))), 0.7),
+    identity._head_sums: ((3, ((2, 1, 2), (1, -2, 3))), None),
     identity._falling_weights: ((31, 6, 3), 0.95),
-    identity._head_series: ((3, ((2, 1, 2), (1, -2, 3))), 0.7),
     identity._correction_factor: ((derivative_table(5), -2, 3), 0.95),
     identity._rising_product: ((4, -7, 2), 0.95),
     identity._node_tables: ((2, 3), None),
@@ -407,11 +408,20 @@ def hit_ratio(cache):
 
 def test_every_cache_is_hit_on_its_traffic():
     clear_caches()
-    for inst in iter_instances(4, 3, SWEEP_GAMMAS, cap=5000):
-        verify(inst)
+    for _ in sweep(4, 3, SWEEP_GAMMAS, cap=5000):
+        pass
     for cache, (_, floor) in PACKAGE_CACHES.items():
         if floor is not None:
             assert hit_ratio(cache) >= floor, (cache, cache.cache_info())
+    # the head sums serve --poly-gamma: verify and then the certificate in
+    # the last coordinate ask for the same head, and so do the neighbours
+    # in the grid order; over the criterion-6 cells they hit on 75%
+    clear_caches()
+    for inst in criterion_6_instances():
+        verify(inst)
+        verify_poly_gamma(inst, inst.d)
+    info = identity._head_sums.cache_info()
+    assert hit_ratio(identity._head_sums) >= 0.7, info
     # the node tables serve --poly-gamma, keyed by (alpha_c, s) alone: two
     # passes over every coordinate of the criterion-6 cells hit on 99%
     clear_caches()
@@ -674,6 +684,33 @@ def test_right_side_does_not_share_the_leading_binomials():
     assert all(r.lhs_product != r.rhs == r.lhs_direct for r in reports)
 
 
+def test_product_route_reads_the_residue_kernel_itself(monkeypatch):
+    # The product route takes its scalar residues from their kernel,
+    # residues._t_residue, without the public pair's argument checks.  A
+    # base residue off by one must move the product route, and only it,
+    # while the ops it charges stay those of the public pair.
+    instances = [
+        SPOT,
+        IdentityInstance(s=3, alpha=(4, 3), gamma=(F(1, 2), F(2))),
+        IdentityInstance(s=2, alpha=(1, 0, 4), gamma=(F(-1, 3), F(0), F(5))),
+    ]
+    honest = [verify(inst) for inst in instances]
+    real = identity._t_residue
+
+    def base_off_by_one(a, b, s):
+        return real(a, b, s) + (a == -1)  # only the base residue has a = -1
+
+    monkeypatch.setattr(identity, "_t_residue", base_off_by_one)
+    for inst, before in zip(instances, honest):
+        report = verify(inst)
+        assert report.all_equal is False
+        assert report.lhs_product != report.rhs == before.rhs
+        assert report.lhs_direct == report.lhs_residue == report.rhs
+        assert report.to_json_dict()["all_equal"] is False
+        assert report.product_ops == before.product_ops
+    assert base_t_residue(2) == 16  # the public pair reads its own reference
+
+
 # Each side's pair form, and the report field that holds its value.
 PAIR_FORMS = {
     "_lhs_direct_counted": "lhs_direct",
@@ -725,14 +762,14 @@ def test_the_pair_verdict_is_exact(signed, form, change):
     if form == "_lhs_direct_counted":
         (num, den), _ = real(inst)
 
-        def patched(inst):
-            pair, terms = real(inst)
+        def patched(inst, *head):
+            pair, terms = real(inst, *head)
             return alter(*pair), terms
     else:
         num, den = real(inst)
 
-        def patched(inst):
-            return alter(*real(inst))
+        def patched(inst, *head):
+            return alter(*real(inst, *head))
 
     assert den > 0 and F(num, den) == value
     with pytest.MonkeyPatch.context() as patch:
@@ -916,9 +953,9 @@ def test_each_time_field_times_its_own_route(monkeypatch, route, field):
     sleep_us = 50_000
     real = getattr(identity, route)
 
-    def slow(inst):
+    def slow(inst, *head):
         time.sleep(sleep_us / 1e6)
-        return real(inst)
+        return real(inst, *head)
 
     monkeypatch.setattr(identity, route, slow)
     report = verify(SPOT)
@@ -1323,6 +1360,58 @@ def test_sweep_serial():
     reports = list(sweep(1, 1, (F(0), F(1)), cap=10))
     assert len(reports) == 10
     assert all(r.all_equal for r in reports)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (3, 2, (0, 1, "1/2"), 7),
+        (3, 2, (0, 1, "1/2"), 9),
+        (3, 0, (0, 1, "1/2"), None),
+        (3, 3, ("1/2",), None),
+        (2, 2, (0, 0, "1/2"), None),
+        (2, 2, ("-2/4", F(-1, 3), 5), 40),
+    ],
+    ids=[
+        "cap-inside-a-run",
+        "cap-at-a-run-end",
+        "d-0",
+        "one-gamma",
+        "repeated-gammas",
+        "mixed-signs-cut",
+    ],
+)
+def test_serial_sweep_is_per_instance_verify(grid):
+    # The serial sweep verifies the grid run by run, each route taking its
+    # work on a run's coordinates before the last once.  Each report must
+    # be the one verify makes of its instance alone, built by the
+    # constructor, counters included.  The caps 7 and 40 end inside a run
+    # of 3, and 9 at the end of one.
+    reports = list(sweep(*grid))
+    instances = list(iter_instances(*grid))
+    assert [r.instance for r in reports] == instances
+    assert grid[3] is None or len(reports) == grid[3]
+    for report in reports:
+        clear_caches()
+        alone = verify(IdentityInstance(*report.instance))
+        assert untimed(report) == untimed(alone)
+        assert vars(report.instance) == vars(alone.instance)
+
+
+def test_serial_sweep_checks_its_arguments_on_the_call():
+    # the call itself raises, before any report is drawn
+    for args, kwargs, error in (
+        ((1, 1, ()), {}, ValueError),
+        ((-1, 0, [0]), {}, ValueError),
+        ((1, 1, [0]), {"cap": 0}, ValueError),
+        ((1.0, 0, [0]), {}, TypeError),
+        ((0, 0.5, [0]), {}, TypeError),
+        ((2, 1, [0]), {"cap": 2.5}, TypeError),
+        ((1, 1, "01"), {}, TypeError),
+        ((1, 1, [0.5]), {}, TypeError),
+    ):
+        with pytest.raises(error):
+            sweep(*args, **kwargs, jobs=1)
 
 
 def test_sweep_parallel_matches_serial():

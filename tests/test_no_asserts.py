@@ -79,8 +79,8 @@ if sys.flags.optimize < 1:
 def plus_one(real, counted):
     # the side's numerator plus one; the direct route's pair comes with
     # its count of compositions
-    def route(inst):
-        value = real(inst)
+    def route(inst, *head):
+        value = real(inst, *head)
         if counted:
             (num, den), terms = value
             return (num + 1, den), terms
